@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .coloring import analyze, first_uncovered_pair
+from .coloring import DEFAULT_CHI_CAP, DEFAULT_ORACLE_CAP, analyze, first_uncovered_pair
 from .errors import FormatError, UnsupportedSpecError
 from .files import read_coloring, read_edge_list, write_edge_list
 from .sampling import RngSeed, sample_gnp
@@ -88,7 +88,7 @@ class ExperimentConfig:
     multipliers: tuple[float, ...] = DEFAULT_MULTIPLIERS
     trials: int = DEFAULT_TRIALS
     allow_exact: bool = False
-    oracle_cap: int = 12
+    oracle_cap: int = DEFAULT_ORACLE_CAP
     workers: int = 1
 
     def spec(self) -> ThresholdSpec:
@@ -334,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = subs.add_parser("analyze", help="print certified mc bounds for a graph file")
     an.add_argument("graph")
-    an.add_argument("--exact-cap", type=int, default=12,
+    an.add_argument("--exact-cap", type=int, default=DEFAULT_ORACLE_CAP,
                     help="largest edge count the exact search will attempt")
-    an.add_argument("--chi-cap", type=int, default=16,
+    an.add_argument("--chi-cap", type=int, default=DEFAULT_CHI_CAP,
                     help="largest vertex count for the exact chromatic bound")
     an.set_defaults(func=cmd_analyze)
 

@@ -22,22 +22,23 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import CapExceededError, NotConnectedError
 from .graphs import (
+    _BLOCK_BYTES,
+    DEFAULT_CHI_CAP,
     Graph,
-    UnionFind,
+    _has_far_pair,
     chromatic_number,
     complement,
-    diameter,
+    component_labels,
     has_cut_vertex,
     is_connected,
     is_k_connected,
     is_triangle_free,
     max_degree,
     min_degree,
-    pair_at,
-    pair_index,
     spanning_tree,
     vertex_connectivity,
 )
@@ -57,7 +58,6 @@ DISCONNECTED = "DISCONNECTED"
 EXACT_ORACLE = "EXACT_ORACLE"
 
 DEFAULT_ORACLE_CAP = 12  # Bell(12) ~ 4.2e6 partitions
-DEFAULT_CHI_CAP = 16
 DEFAULT_KAPPA_CAP = 64  # flow-based connectivity checks beyond this are skipped
 
 
@@ -135,37 +135,49 @@ class McBounds:
             raise ValueError("exact value must lie within the bounds")
 
 
-def _class_components(n: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
-    """Nontrivial components of one color class (vertices touched by its edges)."""
-    uf = UnionFind(n)
-    touched = set()
-    for u, v in edges:
-        uf.union(u, v)
-        touched.add(u)
-        touched.add(v)
-    groups: dict[int, list[int]] = {}
-    for v in sorted(touched):
-        groups.setdefault(uf.find(v), []).append(v)
-    return list(groups.values())
-
-
 def first_uncovered_pair(g: Graph, c: EdgeColoring) -> Optional[tuple[int, int]]:
-    """Smallest vertex pair (canonical order) with no single-color path, or None."""
+    """Smallest vertex pair (canonical order) with no single-color path, or None.
+
+    Extra memory is O(m + block * n), where a block is as many rows u as fit
+    in about 1 MiB (at least one); never an n x n array. A class with at least
+    n - 1 edges that joins all n vertices answers None at once; only such
+    classes can, and one component labelling decides them all. Otherwise every
+    class's components are labelled in one pass, and the pairs are scanned a
+    block of rows u at a time: (u, v) is covered iff some class component holds
+    both.
+    """
     if c.graph != g:
         raise ValueError("coloring does not belong to this graph")
-    n = g.n
-    total = n * (n - 1) // 2
-    if total == 0:
+    n, m = g.n, g.m
+    if n == 1:
         return None
-    covered = np.zeros(total, dtype=bool)
-    for cls in c.classes:
-        for comp in _class_components(n, cls):
-            for i, u in enumerate(comp):
-                for v in comp[i + 1 :]:
-                    covered[pair_index(u, v, n)] = True
-    if covered.all():
-        return None
-    return pair_at(int(covered.argmin()), n)
+    arr = g.edge_array
+    labels = np.asarray(c.labels, dtype=np.int64)
+    # the candidate classes side by side: class big[i] on nodes i*n .. i*n + n - 1
+    big = np.flatnonzero(np.bincount(labels, minlength=c.num_colors) >= n - 1)
+    if big.size:
+        keep = np.isin(labels, big)
+        offset = np.searchsorted(big, labels[keep]) * n
+        _, comp = component_labels(big.size * n, arr[keep, 0] + offset, arr[keep, 1] + offset)
+        if (np.bincount(comp) == n).any():
+            return None
+    # one node per (class, vertex) incidence; its components are the class components
+    nodes, ends = np.unique(
+        np.concatenate((labels * n + arr[:, 0], labels * n + arr[:, 1])), return_inverse=True
+    )
+    count, comp = component_labels(nodes.shape[0], ends[:m], ends[m:])
+    member = csr_matrix(
+        (np.ones(nodes.shape[0], dtype=bool), (nodes % n, comp)), shape=(n, count)
+    )
+    shared = member.T.tocsr()
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    for start in range(0, n - 1, rows):
+        covered = (member[start : start + rows] @ shared).toarray()
+        uncovered = np.triu(~covered, start + 1)  # keep v > u only
+        first = int(uncovered.argmax())
+        if uncovered.flat[first]:
+            return start + first // n, first % n
+    return None
 
 
 def verify_mc_coloring(g: Graph, c: EdgeColoring) -> bool:
@@ -240,6 +252,10 @@ def exactness_certificate(
     integer arithmetic, (d) diameter >= 3, (e) cut vertex. Applies only to
     connected graphs on more than 3 vertices; condition (a) is skipped (never
     fires) when n > kappa_cap.
+
+    Condition (d) runs no BFS: on a connected graph, diameter >= 3 holds iff
+    some two vertices have no common neighbour and no edge, which row blocks of
+    (A + I)^2 reveal as a row with fewer than n non-zeros.
     """
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
@@ -252,7 +268,7 @@ def exactness_certificate(
         return EXACT_B
     if max_degree(g) * (n - 3) < n * (n - 3) - (2 * m - 3 * (n - 1)):
         return EXACT_C
-    if diameter(g) >= 3:
+    if _has_far_pair(g):
         return EXACT_D
     if has_cut_vertex(g):
         return EXACT_E
@@ -260,25 +276,59 @@ def exactness_certificate(
 
 
 def _rgs_search(g: Graph, m: int, best: int, prune: bool) -> int:
-    """DFS over restricted-growth label strings; returns the max verified class count.
+    """DFS over restricted-growth label strings; returns the max valid class count.
+
+    Class j keeps, for each vertex, the bitmask of its component within the
+    class (the vertex alone while no edge of the class touches it). Labelling
+    an edge merges two components and backtracking restores them, so a leaf is
+    a valid coloring iff, for every vertex, the OR of its masks over the used
+    classes holds all n vertices.
 
     With prune=True, prefixes that cannot beat `best` are skipped, which is
     lossless because `best` starts at a count already achieved by a valid
     coloring (or at 1, the always-valid single-class coloring).
     """
-    labels = [0] * m
+    n = g.n
+    edges = g.edges
+    everyone = (1 << n) - 1
+    comp = [[1 << v for v in range(n)] for _ in range(m)]
+
+    def valid(used: int) -> bool:
+        for masks in zip(*comp[:used]):
+            reach = 0
+            for mask in masks:
+                reach |= mask
+            if reach != everyone:
+                return False
+        return True
 
     def walk(i: int, used: int) -> None:
         nonlocal best
         if prune and used + (m - i) <= best:
             return
         if i == m:
-            if used > best and verify_mc_coloring(g, EdgeColoring(g, labels)):
+            if used > best and valid(used):
                 best = used
             return
+        u, v = edges[i]
         for lab in range(used + 1):
-            labels[i] = lab
-            walk(i + 1, used + 1 if lab == used else used)
+            grown = used + 1 if lab == used else used
+            cls = comp[lab]
+            cu, cv = cls[u], cls[v]
+            if cu == cv:  # already joined in this class
+                walk(i + 1, grown)
+                continue
+            merged = rest = cu | cv
+            while rest:
+                low = rest & -rest
+                cls[low.bit_length() - 1] = merged
+                rest ^= low
+            walk(i + 1, grown)
+            rest = merged
+            while rest:
+                low = rest & -rest
+                cls[low.bit_length() - 1] = cu if cu & low else cv
+                rest ^= low
 
     walk(0, 0)
     return best
@@ -289,8 +339,9 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP, prune: bool = True) 
 
     Enumeration runs over restricted-growth strings, i.e. set partitions of
     the edge sequence, because color identity carries no meaning. The search
-    starts from the verified spanning-tree coloring, so pruning never changes
-    the result (the property is also asserted by tests with prune=False).
+    starts from m - n + 2, the color count of the always-valid spanning-tree
+    coloring, so pruning never changes the result (the property is also
+    asserted by tests with prune=False).
     """
     if not is_connected(g):
         return 0
@@ -299,7 +350,7 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP, prune: bool = True) 
         raise CapExceededError(f"edge count {m} too large for the exact search (cap {cap})")
     if m == 0:
         return 0
-    seed = spanning_tree_coloring(g).num_colors if prune else 1
+    seed = m - g.n + 2 if prune else 1
     return _rgs_search(g, m, seed, prune)
 
 

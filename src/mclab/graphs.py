@@ -13,13 +13,19 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from .errors import CapExceededError, NotConnectedError
 
 MAX_VERTICES = 1 << 20
 MAX_EDGES = 1 << 28
+
+# working memory, in bytes, of one block of the array checks: the row blocks of
+# the diameter and triangle tests here and of the coloring verifier
+_BLOCK_BYTES = 1 << 20
+
+DEFAULT_CHI_CAP = 16  # exact chromatic number is exponential in n
 
 EdgePair = tuple[int, int]
 
@@ -206,12 +212,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _component_labels(g: Graph) -> tuple[int, np.ndarray]:
-    arr = g.edge_array
-    mat = coo_matrix(
-        (np.ones(arr.shape[0], dtype=np.int8), (arr[:, 0], arr[:, 1])),
-        shape=(g.n, g.n),
-    )
+def component_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component count and per-vertex component label of the undirected graph
+    on 0..n-1 with edges (heads[i], tails[i]); repeated edges are allowed.
+    """
+    mat = coo_matrix((np.ones(heads.shape[0], dtype=np.int8), (heads, tails)), shape=(n, n))
     return _scipy_components(mat, directed=False)
 
 
@@ -220,12 +225,12 @@ def is_connected(g: Graph) -> bool:
         return True
     if g.m < g.n - 1:
         return False
-    return _component_labels(g)[0] == 1
+    return component_labels(g.n, *g.edge_array.T)[0] == 1
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Partition of the vertex set; components ordered by smallest member."""
-    count, labels = _component_labels(g)
+    count, labels = component_labels(g.n, *g.edge_array.T)
     if count == 1:
         return [list(range(g.n))]
     order = np.argsort(labels, kind="stable")
@@ -351,11 +356,81 @@ def has_cut_vertex(g: Graph) -> bool:
     return bool(articulation_points(g))
 
 
+def _adjacency_matrix(g: Graph, loops: bool = False) -> csr_matrix:
+    """Symmetric n x n float32 adjacency matrix A, or A + I with ``loops``.
+
+    Its products are read only for their non-zero pattern, which float32
+    keeps: each entry is a sum of positive walk counts.
+    """
+    arr = g.edge_array
+    heads = [arr[:, 0], arr[:, 1]]
+    tails = [arr[:, 1], arr[:, 0]]
+    if loops:
+        heads.append(np.arange(g.n))
+        tails.append(np.arange(g.n))
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    return csr_matrix((np.ones(heads.shape[0], dtype=np.float32), (heads, tails)), shape=(g.n, g.n))
+
+
+def _has_far_pair(g: Graph) -> bool:
+    """True iff two distinct vertices have no path of length at most 2 between them.
+
+    On a connected graph this is exactly ``diameter(g) >= 3``. Row x of
+    (A + I)^2 is non-zero exactly at the vertices within distance 2 of x, so a
+    row with fewer than n non-zeros answers yes. The rows are formed a block at
+    a time as (A + I) times dense columns (the matrix is symmetric), which keeps
+    the extra memory at O(m) plus about 1 MiB per block, for any n.
+    """
+    n = g.n
+    reach = _adjacency_matrix(g, loops=True)
+    rows = max(1, _BLOCK_BYTES // (4 * n))
+    for start in range(0, n, rows):
+        if not (reach @ reach[start : start + rows].toarray().T).all():
+            return True
+    return False
+
+
+def _packed_adjacency(g: Graph) -> np.ndarray:
+    """n x ceil(n/8) uint8 array; bit v % 8 of byte v // 8 in row u is set iff u ~ v."""
+    arr = g.edge_array
+    heads = np.concatenate((arr[:, 0], arr[:, 1]))
+    tails = np.concatenate((arr[:, 1], arr[:, 0]))
+    bits = np.zeros((g.n, (g.n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(bits, (heads, tails >> 3), np.left_shift(1, tails & 7).astype(np.uint8))
+    return bits
+
+
 def is_triangle_free(g: Graph) -> bool:
-    sets = g._adjacency_sets
-    for u, v in g.edges:
-        if sets[u] & sets[v]:
+    """True iff no edge has its two ends joined by a common neighbour.
+
+    While the bit-packed adjacency rows (n * ceil(n/8) bytes) fit in one
+    block of about 1 MiB (n <= 2896), each chunk of edges (u, v) is tested by
+    AND-ing the packed rows of u and v. Beyond that, row blocks of the sparse
+    product A @ A are masked by the block's own edges; blocks are cut so that
+    each product holds about 1 MiB of entries, never a dense n x n array.
+    """
+    n, arr = g.n, g.edge_array
+    width = (n + 7) // 8
+    if n * width <= _BLOCK_BYTES:
+        bits = _packed_adjacency(g)
+        chunk = max(1, _BLOCK_BYTES // (2 * width))
+        for start in range(0, g.m, chunk):
+            ends = arr[start : start + chunk]
+            if (bits[ends[:, 0]] & bits[ends[:, 1]]).any():
+                return False
+        return True
+    adj = _adjacency_matrix(g)
+    # row u of A @ A has at most min(n, sum of deg(w) over neighbours w) entries
+    cost = np.cumsum(np.minimum(adj @ g.degrees.astype(np.float64), n))
+    limit = max(1, _BLOCK_BYTES // 8)  # an entry takes an int32 index and a float32 value
+    start = 0
+    while start < n:
+        done = cost[start - 1] if start else 0.0
+        stop = max(start + 1, int(np.searchsorted(cost, done + limit, side="right")))
+        block = adj[start:stop]
+        if (block @ adj).multiply(block).count_nonzero():
             return False
+        start = stop
     return True
 
 
@@ -467,7 +542,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     return True
 
 
-def chromatic_number(g: Graph, cap: int = 16) -> int:
+def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> int:
     """Exact chromatic number by branch-and-bound; exhaustive, so capped by n."""
     n = g.n
     if n > cap:

@@ -95,13 +95,17 @@ def _dense_indices(gen: np.random.Generator, total: int, p: float) -> np.ndarray
 
 
 def _sparse_indices(gen: np.random.Generator, total: int, p: float) -> np.ndarray:
-    # gap to the next present pair is geometric: 1 + floor(log(1-U)/log(1-p))
+    # gap to the next present pair is geometric: 1 + floor(log(1-U)/log(1-p)).
+    # For tiny p the quotient can exceed int64 or overflow to inf, so it is
+    # clamped to `total` before the cast; any gap that long ends the draw.
     log_q = math.log1p(-p)
     hits = []
     position = -1
     while True:
         u = gen.random(_SPARSE_BATCH)
-        gaps = 1 + np.floor(np.log1p(-u) / log_q).astype(np.int64)
+        with np.errstate(over="ignore"):
+            quotient = np.log1p(-u) / log_q
+        gaps = 1 + np.minimum(np.floor(quotient), total).astype(np.int64)
         steps = position + np.cumsum(gaps)
         hits.append(steps[steps < total])
         if steps[-1] >= total:

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import exact_mc_small, mc_lower_bound
+from .coloring import DEFAULT_ORACLE_CAP, exact_mc_small, mc_lower_bound
 from .errors import UnsupportedSpecError
 from .graphs import Graph, is_connected, min_degree
 from .sampling import RngSeed, sample_gnp
@@ -44,8 +44,6 @@ UPPER_BOUND = "UPPER_BOUND"
 EXACT_SMALL = "EXACT_SMALL"
 
 MIN_FORMULA_N = 16  # below this the dense formula's log log term is degenerate
-
-DEFAULT_ORACLE_CAP = 12
 
 
 @dataclass(frozen=True)

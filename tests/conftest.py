@@ -1,1 +1,19 @@
 # keeps the tests directory importable so shared oracle helpers resolve
+
+import pytest
+
+import mclab.coloring
+import mclab.graphs
+
+
+@pytest.fixture(params=[None, 64], ids=["default_blocks", "tiny_blocks"])
+def block_bytes(request, monkeypatch):
+    """Run the test with the library's block size, then with 64-byte blocks.
+
+    Tiny blocks send every block loop of the array checks (the verifier's row
+    scan, the diameter and triangle tests) through many short blocks, and move
+    triangle tests on graphs with n >= 22 onto the sparse-product path.
+    """
+    if request.param is not None:
+        monkeypatch.setattr(mclab.graphs, "_BLOCK_BYTES", request.param)
+        monkeypatch.setattr(mclab.coloring, "_BLOCK_BYTES", request.param)

@@ -136,16 +136,23 @@ def _partitions_into(items, k):
     yield from rec(0, [])
 
 
-def _pair_covered_everywhere(n, blocks):
-    """True iff every vertex pair lies in one connected component of some block."""
+def brute_first_uncovered_pair(n, blocks):
+    """Smallest pair (s, t), s < t, that lies in no connected component of any
+    block (a block is one color class's edge list); None when every pair does.
+    """
     block_comps = [[set(c) for c in brute_components(n, block)] for block in blocks]
     for s in range(n):
         for t in range(s + 1, n):
             if not any(
                 any(s in comp and t in comp for comp in comps) for comps in block_comps
             ):
-                return False
-    return True
+                return (s, t)
+    return None
+
+
+def _pair_covered_everywhere(n, blocks):
+    """True iff every vertex pair lies in one connected component of some block."""
+    return brute_first_uncovered_pair(n, blocks) is None
 
 
 def oracle_mc(n, edges):

@@ -64,6 +64,13 @@ def test_gen_p_one_is_complete_graph(tmp_path):
     assert out.read_text() == K4
 
 
+def test_gen_tiny_probability_writes_empty_graph(tmp_path):
+    out = tmp_path / "g.txt"
+    assert run(["gen", "--n", "100", "--p", "1e-17", "--seed", "1", "--out", str(out)]) == 0
+    g = read_edge_list(out)
+    assert g.n == 100 and g.m == 0
+
+
 def test_gen_requires_explicit_seed(tmp_path, capsys):
     rc = run(["gen", "--n", "5", "--p", "0.5", "--out", str(tmp_path / "g.txt")])
     assert rc == 2

@@ -1,5 +1,7 @@
 """Coloring construction/verification, the bound ladder, certificates, exact search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from mclab.coloring import (
     CHROMATIC_UPPER,
     COMPLETE_GRAPH,
     CONNECTIVITY_UPPER,
+    DEFAULT_KAPPA_CAP,
     DISCONNECTED,
     EXACT_A,
     EXACT_B,
@@ -33,10 +36,17 @@ from mclab.coloring import (
 from mclab.errors import CapExceededError, NotConnectedError
 from mclab.graphs import (
     Graph,
+    _has_far_pair,
+    complement,
     complete_graph,
     cycle_graph,
+    diameter,
+    has_cut_vertex,
+    is_k_connected,
+    is_triangle_free,
     path_graph,
     petersen_graph,
+    spanning_tree,
     star_graph,
 )
 from mclab.sampling import RngSeed, sample_gnp
@@ -101,6 +111,10 @@ def test_verifier_spec_cases():
     assert first_uncovered_pair(c4, distinct) == (0, 2)
     k3 = complete_graph(3)
     assert verify_mc_coloring(k3, EdgeColoring(k3, [0, 1, 2]))
+    # an isolated vertex lies in no class component, not even with itself
+    isolated = Graph(4, [(1, 2), (2, 3)])
+    assert first_uncovered_pair(isolated, EdgeColoring(isolated, [0, 0])) == (0, 1)
+    assert first_uncovered_pair(Graph(3), EdgeColoring(Graph(3), [])) == (0, 1)
 
 
 def test_verifier_rejects_foreign_coloring():
@@ -125,6 +139,42 @@ def test_verifier_matches_brute_force():
             c = EdgeColoring.from_labels(g, rng.integers(0, k, size=len(edges)))
             expected = oracles._pair_covered_everywhere(n, [list(cls) for cls in c.classes])
             assert verify_mc_coloring(g, c) == expected
+
+
+def verifier_cases(seed, count):
+    """Seeded (graph, coloring) pairs on 6..40 vertices, cycling through three
+    families: a spanning-tree class plus random other classes (valid); K_n
+    with every label distinct or with classes of n - 2 edges, so no class
+    can span (valid); and random labels on a random graph (almost always
+    invalid).
+    """
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(6, 41))
+        if i % 3 == 0:
+            g, _ = sample_connected(n, rng.uniform(0.15, 0.6), 100 * i, master=seed)
+            tree = set(spanning_tree(g))
+            others = int(rng.integers(1, 6))
+            raw = [-1 if e in tree else int(rng.integers(others)) for e in g.edges]
+        elif i % 3 == 1:
+            g = complete_graph(n)
+            if i % 2:
+                raw = list(range(g.m))
+            else:
+                raw = (rng.permutation(g.m) // (n - 2)).tolist()
+        else:
+            g = sample_gnp(n, rng.uniform(0.05, 0.9), RngSeed(seed, i))
+            raw = rng.integers(0, int(rng.integers(1, g.m + 2)), size=g.m).tolist()
+        yield g, EdgeColoring.from_labels(g, raw)
+
+
+def test_first_uncovered_pair_matches_brute_oracle(block_bytes):
+    valid = 0
+    for g, c in verifier_cases(61_803, 36):
+        expected = oracles.brute_first_uncovered_pair(g.n, [list(cls) for cls in c.classes])
+        assert first_uncovered_pair(g, c) == expected
+        valid += expected is None
+    assert 12 <= valid < 36  # families (i) and (ii) are valid, (iii) mostly not
 
 
 # ------------------------------------------------------------- construction
@@ -248,6 +298,81 @@ def test_certificate_soundness_exhaustive():
                 assert exact_mc_small(g) == g.m - g.n + 2
 
 
+def reference_certificate(g):
+    """Conditions (a)-(e) in order, from the public checks and the brute oracles."""
+    n, m, edges = g.n, g.m, list(g.edges)
+    if n <= DEFAULT_KAPPA_CAP and is_k_connected(complement(g), 4):
+        return EXACT_A
+    if oracles.brute_triangle_free(n, edges):
+        return EXACT_B
+    degs = [0] * n
+    for u, v in edges:
+        degs[u] += 1
+        degs[v] += 1
+    if max(degs) * (n - 3) < n * (n - 3) - (2 * m - 3 * (n - 1)):
+        return EXACT_C
+    if diameter(g) >= 3:
+        return EXACT_D
+    if has_cut_vertex(g):
+        return EXACT_E
+    return None
+
+
+def test_certificate_matches_reference_exhaustive_and_sampled():
+    seen = set()
+    for n in (4, 5):
+        for edges in connected_edge_subsets(n):
+            g = Graph(n, edges)
+            cert = exactness_certificate(g)
+            assert cert == reference_certificate(g)
+            seen.add(cert)
+    rng = np.random.default_rng(271828)
+    for i in range(50):
+        n = int(rng.integers(6, 31))
+        # every other graph gets a two-edge tail, so (d) and (e) get reached
+        core = n - 2 if i % 2 else n
+        g, _ = sample_connected(core, rng.uniform(0.3, 0.95), 100 * i, master=271828)
+        if core < n:
+            g = Graph(n, sorted(g.edges + ((core - 1, core), (core, core + 1))))
+        cert = exactness_certificate(g)
+        assert cert == reference_certificate(g)
+        seen.add(cert)
+    assert seen == {EXACT_A, EXACT_B, EXACT_C, EXACT_D, EXACT_E, None}
+
+
+def test_array_checks_on_large_sparse_graph_stay_within_block_memory():
+    # n = 50 000: a dense n x n array would take 2.5 GB, and even packed bits
+    # 312 MB, against a traced peak bound of 64 MiB
+    n = 50_000
+    rng = np.random.default_rng(50_000)
+    even = 2 * rng.integers(0, n // 2, size=60_000)
+    odd = 2 * rng.integers(0, n // 2, size=60_000) + 1
+    chords = set(zip(np.minimum(even, odd).tolist(), np.maximum(even, odd).tolist()))
+    cycle = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    bipartite = Graph.from_pairs(n, cycle | chords)  # every edge joins even to odd
+    closed = Graph.from_pairs(n, cycle | chords | {(n - 3, n - 1)})  # one triangle, at the end
+    assert bipartite.m > 100_000
+    tree_coloring = spanning_tree_coloring(bipartite)
+    distinct = EdgeColoring(bipartite, range(bipartite.m))
+    # with every edge its own class, the covered pairs are exactly the edges
+    first_gap = next(v for v in range(1, n) if (0, v) not in bipartite.edge_set)
+    checks = [
+        (is_triangle_free, (bipartite,), True),
+        (is_triangle_free, (closed,), False),
+        (_has_far_pair, (bipartite,), True),
+        (first_uncovered_pair, (bipartite, tree_coloring), None),
+        (first_uncovered_pair, (bipartite, distinct), (0, first_gap)),
+    ]
+    for fn, args, expected in checks:
+        tracemalloc.start()
+        try:
+            assert fn(*args) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"{fn.__name__} peaked at {peak / 2**20:.0f} MiB"
+
+
 # ------------------------------------------------------------- exact oracle
 
 
@@ -283,6 +408,15 @@ def test_exact_mc_matches_independent_oracle():
         if not oracles.brute_connected(5, edges) or len(edges) > 9:
             continue
         assert exact_mc_small(Graph(5, edges)) == oracles.oracle_mc(5, edges)
+        done += 1
+    done = 0
+    stream = 0
+    while done < 10:
+        g = sample_gnp(6, 0.45, RngSeed(20251018, stream))
+        stream += 1
+        if not oracles.brute_connected(6, g.edges) or g.m > 9:
+            continue
+        assert exact_mc_small(g) == oracles.oracle_mc(6, list(g.edges))
         done += 1
 
 

@@ -13,6 +13,7 @@ from mclab.graphs import (
     MAX_VERTICES,
     Graph,
     UnionFind,
+    _has_far_pair,
     articulation_points,
     chromatic_number,
     complement,
@@ -35,6 +36,7 @@ from mclab.graphs import (
     star_graph,
     vertex_connectivity,
 )
+from mclab.sampling import RngSeed, sample_gnp
 
 
 @st.composite
@@ -195,6 +197,34 @@ def test_queries_match_brute_force_sampled_n6():
         assert articulation_points(g) == oracles.brute_cut_vertices(6, edges)
         assert is_triangle_free(g) == oracles.brute_triangle_free(6, edges)
         assert vertex_connectivity(g) == oracles.brute_vertex_connectivity(6, edges)
+
+
+def test_far_pair_matches_brute_diameter_all_connected_up_to_n6():
+    for n in range(2, 7):
+        for edges in oracles.all_edge_subsets(n):
+            if oracles.brute_connected(n, edges):
+                assert _has_far_pair(Graph(n, edges)) == (oracles.brute_diameter(n, edges) >= 3)
+
+
+def test_far_pair_matches_brute_diameter_sampled(block_bytes):
+    rng = np.random.default_rng(30303)
+    for _ in range(60):
+        n = int(rng.integers(2, 31))
+        g = sample_gnp(n, rng.uniform(0.05, 0.8), RngSeed(30303, int(rng.integers(1 << 30))))
+        if is_connected(g):
+            assert _has_far_pair(g) == (oracles.brute_diameter(n, list(g.edges)) >= 3)
+
+
+def test_triangle_free_matches_brute_force_up_to_n40(block_bytes):
+    rng = np.random.default_rng(404)
+    outcomes = set()
+    for _ in range(80):
+        n = int(rng.integers(1, 41))
+        g = sample_gnp(n, rng.uniform(0.0, 0.25), RngSeed(404, int(rng.integers(1 << 30))))
+        free = is_triangle_free(g)
+        assert free == oracles.brute_triangle_free(n, list(g.edges))
+        outcomes.add(free)
+    assert outcomes == {True, False}
 
 
 def test_vertex_connectivity_matches_brute_force_n7_n8():

@@ -6,6 +6,7 @@ specific draw is pinned forever.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,15 @@ def test_sample_gnp_extremes():
     assert sample_gnp(5, 1.0, RngSeed(1), kernel="sparse").is_complete()
     single = sample_gnp(1, 0.7, RngSeed(3))
     assert single.n == 1 and single.m == 0
+
+
+@pytest.mark.parametrize("p", [1e-12, 1e-17, 1e-20, 1e-300, 5e-324])
+def test_sparse_kernel_tiny_p_draws_no_edges(p):
+    # the geometric gap overflows int64 for such p unless clamped before the cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = sample_gnp(100, p, RngSeed(1))
+    assert g.n == 100 and g.m == 0
 
 
 def test_sample_gnp_rejects_bad_arguments():
