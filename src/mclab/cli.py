@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .coloring import DEFAULT_CHI_CAP, DEFAULT_ORACLE_CAP, analyze, first_uncovered_pair
+from .coloring import (
+    DEFAULT_CHI_CAP,
+    DEFAULT_KAPPA_CAP,
+    DEFAULT_ORACLE_CAP,
+    analyze,
+    first_uncovered_pair,
+)
 from .errors import FormatError, UnsupportedSpecError
 from .files import read_coloring, read_edge_list, write_edge_list
 from .sampling import RngSeed, sample_gnp
@@ -245,7 +251,9 @@ def cmd_gen(args) -> int:
 
 def cmd_analyze(args) -> int:
     g = read_edge_list(args.graph)
-    bounds = analyze(g, oracle_cap=args.exact_cap, chi_cap=args.chi_cap)
+    bounds = analyze(
+        g, oracle_cap=args.exact_cap, chi_cap=args.chi_cap, kappa_cap=args.kappa_cap
+    )
     print(f"n: {g.n}")
     print(f"m: {g.m}")
     print(f"lower: {bounds.lower}")
@@ -338,6 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest edge count the exact search will attempt")
     an.add_argument("--chi-cap", type=int, default=DEFAULT_CHI_CAP,
                     help="largest vertex count for the exact chromatic bound")
+    an.add_argument("--kappa-cap", type=int, default=DEFAULT_KAPPA_CAP,
+                    help="largest vertex count for the connectivity bound and "
+                         "certificate (a), complement 4-connected")
     an.set_defaults(func=cmd_analyze)
 
     ver = subs.add_parser("verify", help="check a coloring file against a graph file")

@@ -58,7 +58,9 @@ DISCONNECTED = "DISCONNECTED"
 EXACT_ORACLE = "EXACT_ORACLE"
 
 DEFAULT_ORACLE_CAP = 12  # Bell(12) ~ 4.2e6 partitions
-DEFAULT_KAPPA_CAP = 64  # flow-based connectivity checks beyond this are skipped
+# the kappa bound and certificate (a) are skipped beyond this; each costs
+# O(n + delta^2) max-flows on an O(n + m) network
+DEFAULT_KAPPA_CAP = 64
 
 
 class EdgeColoring:
@@ -222,9 +224,8 @@ def mc_upper_bound(
     """Minimum of the degree, chromatic, and connectivity upper bounds.
 
     The chromatic term joins only when n <= chi_cap (exact chi is exponential),
-    the connectivity term only when n <= kappa_cap (flow-based kappa is
-    quadratic in n times a max-flow). Returns the bound and the tags of every
-    term achieving it.
+    the connectivity term only when n <= kappa_cap (kappa takes O(n + delta^2)
+    max-flows). Returns the bound and the tags of every term achieving it.
     """
     if g.n < 2:
         raise ValueError("upper bound needs at least 2 vertices")

@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components as _scipy_components
+from scipy.sparse.csgraph import maximum_flow
 
 from .errors import CapExceededError, NotConnectedError
 
@@ -440,92 +441,83 @@ def complement(g: Graph) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in es])
 
 
-def _local_vertex_connectivity(g: Graph, s: int, t: int, cutoff: int) -> int:
-    """Minimum number of vertices separating non-adjacent s and t, computed as a
-    maximum flow in the split digraph (each vertex an arc of capacity one).
-    Stops early once the flow reaches ``cutoff``.
+def _split_network(g: Graph) -> csr_matrix:
+    """Split digraph whose maximum flows count vertex-disjoint paths.
+
+    Vertex v becomes the arc 2v -> 2v+1 of capacity 1, and each edge uv the
+    arcs 2u+1 -> 2v and 2v+1 -> 2u of capacity n, more than any flow here. The
+    maximum flow from 2s+1 to 2t is then the fewest vertices separating the
+    non-adjacent s and t.
     """
-    n = g.n
-    big = n  # effectively infinite: any s-t flow is at most n - 2
-    # node 2v = "in" copy, 2v+1 = "out" copy; arcs stored as twinned pairs
-    to: list[int] = []
-    cap: list[int] = []
-    head: list[list[int]] = [[] for _ in range(2 * n)]
+    n, arr = g.n, g.edge_array
+    ins = 2 * np.arange(n)
+    heads = np.concatenate((ins, 2 * arr[:, 0] + 1, 2 * arr[:, 1] + 1))
+    tails = np.concatenate((ins + 1, 2 * arr[:, 1], 2 * arr[:, 0]))
+    caps = np.concatenate((np.ones(n, dtype=np.int32), np.full(2 * g.m, n, dtype=np.int32)))
+    return csr_matrix((caps, (heads, tails)), shape=(2 * n, 2 * n))
 
-    def add_arc(a: int, b: int, c: int) -> None:
-        head[a].append(len(to))
-        to.append(b)
-        cap.append(c)
-        head[b].append(len(to))
-        to.append(a)
-        cap.append(0)
 
-    for v in range(n):
-        add_arc(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges:
-        add_arc(2 * u + 1, 2 * v, big)
-        add_arc(2 * v + 1, 2 * u, big)
+def _separating_pairs(g: Graph) -> Iterator[EdgePair]:
+    """Non-adjacent pairs whose least local connectivity is kappa on a
+    non-complete graph (Esfahanian & Hakimi, 1984).
 
-    source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    parent_arc = [-1] * (2 * n)
-    while flow < cutoff:
-        for i in range(2 * n):
-            parent_arc[i] = -1
-        parent_arc[source] = -2
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if u == sink:
-                break
-            for a in head[u]:
-                w = to[a]
-                if parent_arc[w] == -1 and cap[a] > 0:
-                    parent_arc[w] = a
-                    queue.append(w)
-        if parent_arc[sink] == -1:
-            break
-        bottleneck = cutoff - flow
-        w = sink
-        while w != source:
-            a = parent_arc[w]
-            if cap[a] < bottleneck:
-                bottleneck = cap[a]
-            w = to[a ^ 1]
-        w = sink
-        while w != source:
-            a = parent_arc[w]
-            cap[a] -= bottleneck
-            cap[a ^ 1] += bottleneck
-            w = to[a ^ 1]
-        flow += bottleneck
-    return flow
+    With v of minimum degree: v and each of its non-neighbours, then each
+    non-adjacent pair of v's neighbours. A minimum cut that misses v separates
+    it from some non-neighbour; one that holds v separates two of v's
+    neighbours. That is at most (n - 1 - delta) + delta(delta - 1)/2 pairs.
+    """
+    adj = g._adjacency_sets
+    v = int(np.argmin(g.degrees))
+    for w in range(g.n):
+        if w != v and w not in adj[v]:
+            yield v, w
+    nbrs = g._adjacency[v]
+    for i, x in enumerate(nbrs):
+        for y in nbrs[i + 1 :]:
+            if y not in adj[x]:
+                yield x, y
+
+
+def _pair_connectivities(g: Graph, cap: int) -> Iterator[int]:
+    """min(local vertex connectivity, cap) of each pair from :func:`_separating_pairs`.
+
+    A pair with at least ``cap`` common neighbours has that many disjoint
+    paths of length 2 and needs no flow. The others each take a maximum flow
+    on one split network, built at the first of them.
+    """
+    adj = g._adjacency_sets
+    net = None
+    for s, t in _separating_pairs(g):
+        if len(adj[s] & adj[t]) >= cap:
+            yield cap
+            continue
+        if net is None:
+            net = _split_network(g)
+        yield min(cap, int(maximum_flow(net, 2 * s + 1, 2 * t).flow_value))
 
 
 def vertex_connectivity(g: Graph) -> int:
     """Vertex connectivity: minimum vertex cut over all non-adjacent pairs,
     with the complete-graph convention n - 1; 0 for disconnected graphs.
+
+    Runs at most (n - 1 - delta) + delta(delta - 1)/2 maximum flows (see
+    :func:`_separating_pairs`).
     """
     n = g.n
     if n == 1 or not is_connected(g):
         return 0
     if g.is_complete():
         return n - 1
-    best = min_degree(g)
-    es = g.edge_set
-    for s in range(n):
-        for t in range(s + 1, n):
-            if best == 0:
-                return 0
-            if (s, t) not in es:
-                k = _local_vertex_connectivity(g, s, t, best)
-                if k < best:
-                    best = k
-    return best
+    delta = min_degree(g)
+    return min(delta, *_pair_connectivities(g, delta))
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
-    """True iff the graph stays connected after removing any k - 1 vertices."""
+    """True iff the graph stays connected after removing any k - 1 vertices.
+
+    Stops at the first pair of :func:`_separating_pairs` that fewer than k
+    vertices separate.
+    """
     if k <= 0:
         return True
     if g.n <= k:
@@ -534,12 +526,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return True
     if not is_connected(g) or min_degree(g) < k:
         return False
-    es = g.edge_set
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            if (s, t) not in es and _local_vertex_connectivity(g, s, t, k) < k:
-                return False
-    return True
+    return all(local == k for local in _pair_connectivities(g, k))
 
 
 def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> int:

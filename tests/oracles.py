@@ -97,6 +97,19 @@ def brute_vertex_connectivity(n, edges):
     return n - 1
 
 
+def brute_is_k_connected(n, edges, k):
+    """True iff n > k and no set of fewer than k vertices disconnects the rest."""
+    if k <= 0:
+        return True
+    if n <= k:
+        return False
+    return all(
+        len(brute_components(n, edges, skip=cut)) == 1
+        for size in range(k)
+        for cut in itertools.combinations(range(n), size)
+    )
+
+
 def brute_chromatic(n, edges):
     for k in range(1, n + 1):
         for coloring in itertools.product(range(k), repeat=n):

@@ -20,7 +20,8 @@ import pytest
 
 import mclab.cli
 from mclab.cli import ExperimentConfig, parse_config, run
-from mclab.files import read_edge_list
+from mclab.files import read_edge_list, write_edge_list
+from mclab.graphs import cycle_graph
 
 
 def write_graph(path, text):
@@ -126,6 +127,27 @@ def test_analyze_exact_cap_can_leave_value_unknown(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "exact: unknown" in out
     assert "EXACT_ORACLE" not in out
+
+
+def test_analyze_kappa_cap_gates_the_connectivity_checks(tmp_path, capsys):
+    # C65 is one vertex past the default cap: its connectivity bound ties the
+    # degree bound and its complement is 4-connected, but only a raised cap
+    # lets either check run
+    path = tmp_path / "c65.txt"
+    write_edge_list(cycle_graph(65), path)
+    assert run(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "certificates: TREE_LOWER,MIN_DEGREE_UPPER,EXACT_B\n"
+    )
+    assert run(["analyze", str(path), "--kappa-cap", "65"]) == 0
+    assert capsys.readouterr().out == (
+        "n: 65\n"
+        "m: 65\n"
+        "lower: 2\n"
+        "upper: 3\n"
+        "exact: 2\n"
+        "certificates: TREE_LOWER,MIN_DEGREE_UPPER,CONNECTIVITY_UPPER,EXACT_A\n"
+    )
 
 
 def test_analyze_malformed_file_exits_2(tmp_path, capsys):

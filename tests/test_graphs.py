@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mclab import graphs
 from mclab.errors import CapExceededError, NotConnectedError
 from mclab.graphs import (
     MAX_VERTICES,
@@ -176,7 +177,10 @@ def test_queries_match_brute_force_all_graphs_up_to_n5():
             assert articulation_points(g) == oracles.brute_cut_vertices(n, edges)
             assert has_cut_vertex(g) == bool(oracles.brute_cut_vertices(n, edges))
             assert is_triangle_free(g) == oracles.brute_triangle_free(n, edges)
-            assert vertex_connectivity(g) == oracles.brute_vertex_connectivity(n, edges)
+            kappa = oracles.brute_vertex_connectivity(n, edges)
+            assert vertex_connectivity(g) == kappa
+            for k in range(n + 2):
+                assert is_k_connected(g, k) == (kappa >= k)
             if edges:
                 degs = [0] * n
                 for u, v in edges:
@@ -239,6 +243,48 @@ def test_vertex_connectivity_matches_brute_force_n7_n8():
             assert vertex_connectivity(g) == kappa
             for k in range(n + 2):
                 assert is_k_connected(g, k) == (kappa >= k)
+
+
+def test_connectivity_needs_the_neighbour_pairs():
+    # two K6 on 1..6 and 7..12 joined by the edge (6, 12), and vertex 0 of
+    # minimum degree 4 joined to 1, 2, 7, 8: every 2-vertex cut holds 0, so
+    # 0 has local connectivity 3 to each non-neighbour, and only a pair of
+    # its neighbours, such as (1, 7), reaches kappa = 2
+    cliques = [(u, v) for lo in (1, 7) for u in range(lo, lo + 6) for v in range(u + 1, lo + 6)]
+    edges = sorted(cliques + [(6, 12), (0, 1), (0, 2), (0, 7), (0, 8)])
+    g = Graph(13, edges)
+    assert min_degree(g) == 4 and degree(g, 0) == 4
+    assert vertex_connectivity(g) == 2 == oracles.brute_vertex_connectivity(13, edges)
+    assert is_k_connected(g, 2)
+    assert not is_k_connected(g, 3)
+
+
+def test_connectivity_runs_esfahanian_hakimi_flows_on_one_network(monkeypatch):
+    flows, builds = [], []
+    real_flow, real_build = graphs.maximum_flow, graphs._split_network
+
+    def counting_flow(net, source, sink):
+        flows.append((source, sink))
+        return real_flow(net, source, sink)
+
+    def counting_build(g):
+        builds.append(g)
+        return real_build(g)
+
+    monkeypatch.setattr(graphs, "maximum_flow", counting_flow)
+    monkeypatch.setattr(graphs, "_split_network", counting_build)
+    g = sample_gnp(64, 0.3, RngSeed(6))
+    comp = complement(g)
+    for h, query in ((g, vertex_connectivity), (comp, lambda h: is_k_connected(h, 4))):
+        flows.clear()
+        builds.clear()
+        query(h)
+        n, delta = h.n, min_degree(h)
+        assert builds in ([], [h]) and bool(builds) == bool(flows)
+        assert len(flows) <= (n - 1 - delta) + delta * (delta - 1) // 2
+    flows.clear()
+    assert vertex_connectivity(g) == 12
+    assert 0 < len(flows) < 100  # every non-adjacent pair would be 1,423 flows
 
 
 def test_chromatic_number_matches_brute_force():
