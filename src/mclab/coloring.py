@@ -72,23 +72,28 @@ class EdgeColoring:
     """
 
     def __init__(self, graph: Graph, labels: Sequence[int]):
-        labels = tuple(int(x) for x in labels)
+        # int() returns a Python int argument itself, so the tuple shares them
+        labels = tuple(map(int, labels))
         if len(labels) != graph.m:
             raise ValueError(
                 f"coloring has {len(labels)} labels but the graph has {graph.m} edges"
             )
-        distinct = 0
-        for lab in labels:
-            if lab > distinct or lab < 0:
+        num_colors = 0
+        if labels:
+            # first-occurrence order: labels >= 0, the first 0, and each at most
+            # one above the largest label before it (object dtype past int64)
+            arr = np.array(labels)
+            bound = np.maximum.accumulate(arr)
+            bound += 1
+            if arr[0] != 0 or arr.min() < 0 or (arr[1:] > bound[:-1]).any():
                 raise ValueError(
                     "labels must be contiguous from 0 in first-occurrence order; "
                     "use from_labels() to canonicalize"
                 )
-            if lab == distinct:
-                distinct += 1
+            num_colors = int(bound[-1])
         self.graph = graph
         self.labels = labels
-        self.num_colors = distinct
+        self.num_colors = num_colors
 
     @classmethod
     def from_labels(cls, graph: Graph, raw: Iterable[object]) -> "EdgeColoring":

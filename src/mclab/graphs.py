@@ -216,8 +216,16 @@ class Graph:
 def component_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[int, np.ndarray]:
     """Component count and per-vertex component label of the undirected graph
     on 0..n-1 with edges (heads[i], tails[i]); repeated edges are allowed.
+
+    Non-decreasing heads (canonical edge order) are read as CSR rows in place;
+    other edge orders go through a COO matrix.
     """
-    mat = coo_matrix((np.ones(heads.shape[0], dtype=np.int8), (heads, tails)), shape=(n, n))
+    ones = np.ones(heads.shape[0])  # float64, the dtype scipy's traversal reads
+    if (heads[1:] >= heads[:-1]).all():
+        indptr = np.searchsorted(heads, np.arange(n + 1))
+        mat = csr_matrix((ones, tails, indptr), shape=(n, n))
+    else:
+        mat = coo_matrix((ones, (heads, tails)), shape=(n, n))
     return _scipy_components(mat, directed=False)
 
 

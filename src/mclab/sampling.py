@@ -12,6 +12,13 @@ Both kernels consume a counter-based Philox stream keyed by
 ``master_seed XOR mix64(stream_index)`` where ``mix64`` is the SplitMix64
 finalizer, so every (master_seed, stream_index, n, p, kernel) tuple yields a
 bit-identical graph on every platform.
+
+Both kernels yield the canonical ranks of the present pairs in increasing
+order. :func:`pairs_from_indices` turns such ranks into edges with an exact
+integer row search: the row starts ``u*n - u(u+1)/2`` are searched in the
+ranks, which gives each row's edge count (a CSR row pointer) directly. The
+sweep trials in :mod:`mclab.threshold` read m, degrees and components from
+that decode without building a :class:`~mclab.graphs.Graph`.
 """
 
 from __future__ import annotations
@@ -63,22 +70,38 @@ class RngSeed:
         return np.random.Generator(np.random.Philox(key=self.stream_key()))
 
 
+def _decode_rows(ranks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR row pointer and endpoint columns of increasing, in-range pair ranks.
+
+    Row u = 0..n starts at rank u*n - u(u+1)/2 (row n at C(n,2)), so
+    ``indptr[u]`` counts the ranks below that start and row u holds ranks
+    ``indptr[u]:indptr[u+1]``, whose first endpoint is u.
+    """
+    rows = np.arange(n + 1, dtype=np.int64)
+    starts = rows * n - rows * (rows + 1) // 2
+    indptr = np.searchsorted(ranks, starts)
+    u = np.repeat(rows[:-1], np.diff(indptr))
+    v = ranks - starts[u] + u + 1
+    return indptr, u, v
+
+
 def pairs_from_indices(indices: np.ndarray, n: int) -> np.ndarray:
     """Decode canonical pair ranks to (u, v) endpoint columns, vectorized.
 
-    Inverse of the rank formula u*n - u(u+1)/2 + (v-u-1). The float sqrt
-    can land one row off, so two integer fix-up passes follow it.
+    Inverse of the rank formula u*n - u(u+1)/2 + (v-u-1), in exact integer
+    arithmetic: each rank's row u is found by searching the row starts in the
+    ranks. The ranks must be strictly increasing (as both sampling kernels
+    emit them) and lie in [0, C(n,2)); anything else raises ValueError.
     """
     idx = np.asarray(indices, dtype=np.int64)
-    tn = 2 * n - 1
-    u = ((tn - np.sqrt(float(tn) * tn - 8.0 * idx)) // 2).astype(np.int64)
-    for _ in range(2):
-        base = u * n - u * (u + 1) // 2
-        u = np.where(base > idx, u - 1, u)
-        base = u * n - u * (u + 1) // 2
-        u = np.where(idx - base >= n - 1 - u, u + 1, u)
-    base = u * n - u * (u + 1) // 2
-    v = idx - base + u + 1
+    if idx.ndim != 1:
+        raise ValueError("pair ranks must be a one-dimensional array")
+    if idx.size:
+        if idx[0] < 0 or idx[-1] >= n * (n - 1) // 2:
+            raise ValueError(f"pair rank out of range for n={n}")
+        if not (np.diff(idx) > 0).all():
+            raise ValueError("pair ranks must be strictly increasing")
+    _, u, v = _decode_rows(idx, n)
     return np.column_stack([u, v])
 
 
@@ -114,8 +137,9 @@ def _sparse_indices(gen: np.random.Generator, total: int, p: float) -> np.ndarra
     return np.concatenate(hits)
 
 
-def sample_gnp(n: int, p: float, seed: RngSeed, kernel: str = "auto") -> Graph:
-    """Draw one graph from the independent-pairs model, deterministically per seed."""
+def _draw(n: int, p: float, seed: RngSeed, kernel: str = "auto") -> np.ndarray:
+    """Check the arguments of :func:`sample_gnp`, then draw the increasing
+    canonical ranks of the present pairs from the seed's Philox stream."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("vertex count must be a positive integer")
     if n > MAX_VERTICES:
@@ -128,7 +152,7 @@ def sample_gnp(n: int, p: float, seed: RngSeed, kernel: str = "auto") -> Graph:
 
     total = n * (n - 1) // 2
     if total == 0 or p == 0.0:
-        return Graph(n)
+        return np.empty(0, dtype=np.int64)
     if kernel == "auto":
         kernel = "sparse" if p < SPARSE_KERNEL_THRESHOLD else "dense"
     if p == 1.0 and kernel == "sparse":
@@ -136,7 +160,10 @@ def sample_gnp(n: int, p: float, seed: RngSeed, kernel: str = "auto") -> Graph:
 
     gen = seed.generator()
     if kernel == "dense":
-        idx = _dense_indices(gen, total, p)
-    else:
-        idx = _sparse_indices(gen, total, p)
-    return Graph(n, pairs_from_indices(idx, n))
+        return _dense_indices(gen, total, p)
+    return _sparse_indices(gen, total, p)
+
+
+def sample_gnp(n: int, p: float, seed: RngSeed, kernel: str = "auto") -> Graph:
+    """Draw one graph from the independent-pairs model, deterministically per seed."""
+    return Graph(n, pairs_from_indices(_draw(n, p, seed, kernel), n))

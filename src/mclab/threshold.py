@@ -15,14 +15,18 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-from .coloring import DEFAULT_ORACLE_CAP, exact_mc_small, mc_lower_bound
+import numpy as np
+
+from . import graphs
+from .coloring import DEFAULT_ORACLE_CAP, exact_mc_small
 from .errors import UnsupportedSpecError
-from .graphs import Graph, is_connected, min_degree
-from .sampling import RngSeed, sample_gnp
+from .graphs import Graph, min_degree
+from .sampling import RngSeed, _decode_rows, _draw
 
 # f(n) preset families
 CONSTANT = "CONSTANT"
@@ -187,6 +191,39 @@ class TrialOutcome:
     decision_source: Optional[str]  # None exactly when the decision is UNKNOWN
 
 
+def _decide(
+    n: int,
+    m: int,
+    delta: int,
+    heads: np.ndarray,
+    tails: np.ndarray,
+    f_value: int,
+    allow_exact: bool,
+    oracle_cap: int,
+    graph: Callable[[], Graph],
+) -> TrialOutcome:
+    """The decision ladder on m, delta and the edges (heads[i], tails[i]).
+
+    Components are labelled at most once, and not at all when a vertex is
+    isolated or m < n - 1; ``graph()`` is called only when the exact oracle runs.
+    """
+    if n > 1 and (
+        delta == 0 or m < n - 1 or graphs.component_labels(n, heads, tails)[0] != 1
+    ):
+        return TrialOutcome(False, m, delta, NO, DISCONNECTED)
+    lower = m - n + 2 if n > 1 else 0  # mc_lower_bound: a single vertex takes 0
+    if lower >= f_value:
+        return TrialOutcome(True, m, delta, YES, LOWER_BOUND)
+    upper = m - n + delta + 1
+    if upper < f_value:
+        return TrialOutcome(True, m, delta, NO, UPPER_BOUND)
+    if allow_exact and m <= oracle_cap:
+        exact = exact_mc_small(graph(), cap=oracle_cap)
+        decision = YES if exact >= f_value else NO
+        return TrialOutcome(True, m, delta, decision, EXACT_SMALL)
+    return TrialOutcome(True, m, delta, UNKNOWN, None)
+
+
 def decide_mc_at_least(
     g: Graph,
     f_value: int,
@@ -197,26 +234,15 @@ def decide_mc_at_least(
 
     YES requires the spanning-tree lower bound (or the exact oracle) to reach
     f; NO requires disconnection or the min-degree upper bound (or the oracle)
-    to fall short of it.
+    to fall short of it. Components are labelled at most once, and not at
+    all when a vertex is isolated or m < n - 1.
     """
     if f_value < 1:
         raise ValueError("f_value must be at least 1")
-    connected = is_connected(g)
-    m = g.m
-    delta = min_degree(g)
-    if not connected:
-        return TrialOutcome(False, m, delta, NO, DISCONNECTED)
-    lower = mc_lower_bound(g)
-    if lower >= f_value:
-        return TrialOutcome(True, m, delta, YES, LOWER_BOUND)
-    upper = m - g.n + delta + 1
-    if upper < f_value:
-        return TrialOutcome(True, m, delta, NO, UPPER_BOUND)
-    if allow_exact and m <= oracle_cap:
-        exact = exact_mc_small(g, cap=oracle_cap)
-        decision = YES if exact >= f_value else NO
-        return TrialOutcome(True, m, delta, decision, EXACT_SMALL)
-    return TrialOutcome(True, m, delta, UNKNOWN, None)
+    heads, tails = g.edge_array.T
+    return _decide(
+        g.n, g.m, min_degree(g), heads, tails, f_value, allow_exact, oracle_cap, lambda: g
+    )
 
 
 def run_trial(
@@ -227,10 +253,22 @@ def run_trial(
     allow_exact: bool = False,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> TrialOutcome:
-    """Sample one graph and decide mc >= ceil(f(n)); deterministic per seed."""
+    """Sample one graph and decide mc >= ceil(f(n)); deterministic per seed.
+
+    The outcome equals ``decide_mc_at_least(sample_gnp(n, p, seed), ...)``,
+    but the trial reads m, the degrees and the components straight from the
+    decoded pair ranks: a :class:`Graph` is built only when the exact oracle
+    runs (``allow_exact`` and m <= ``oracle_cap``).
+    """
     f_value = math.ceil(spec.f_value(n))
-    g = sample_gnp(n, p, seed)
-    return decide_mc_at_least(g, f_value, allow_exact=allow_exact, oracle_cap=oracle_cap)
+    ranks = _draw(n, p, seed)
+    indptr, heads, tails = _decode_rows(ranks, n)
+    m = ranks.shape[0]
+    delta = int((np.diff(indptr) + np.bincount(tails, minlength=n)).min())
+    return _decide(
+        n, m, delta, heads, tails, f_value, allow_exact, oracle_cap,
+        lambda: Graph(n, np.column_stack([heads, tails])),
+    )
 
 
 def trial_seed(master_seed: int, row_index: int, trial_index: int) -> RngSeed:

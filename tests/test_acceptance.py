@@ -5,6 +5,7 @@ print. Statistical criteria use fixed master seeds, so every figure below is
 reproducible bit for bit; tolerances are asserted, not assumed.
 """
 
+import hashlib
 import math
 import time
 
@@ -244,15 +245,28 @@ def test_criterion_7_chernoff_validity():
                 f"(worst emp-bound={worst:.4f}), {len(failures)} failures")
 
 
+# SHA-256 of each acceptance sweep's CSV; a speed change must keep these bytes
+PINNED_CSV_SHA256 = {
+    "connectivity": "74197e37c66d960148a83b2ed1593a975368a86b79c35c01548f2f259f253126",
+    "dense": "959f541fd46167f766fe6d99366e8112ab15d6252fb4dffa40b9748db09f77fb",
+    "sparse": "daf68ddc49ec57165c9bab82d00b6405cfb5c754aa903ab5d1731fdb0385500b",
+}
+
+
 def test_criterion_8_determinism(connectivity_sweep, dense_sweep, sparse_sweep):
     mismatches = []
+    changed = []
     for name, (config, report, _) in (("connectivity", connectivity_sweep),
                                       ("dense", dense_sweep),
                                       ("sparse", sparse_sweep)):
+        data = report.to_csv().encode()
         rerun = sweep(config)
-        if rerun.to_csv().encode() != report.to_csv().encode():
+        if rerun.to_csv().encode() != data:
             mismatches.append(name)
-    ok = not mismatches
+        if hashlib.sha256(data).hexdigest() != PINNED_CSV_SHA256[name]:
+            changed.append(name)
+    ok = not mismatches and not changed
     report_line(8, ok,
                 f"criteria 4-6 sweeps rerun with identical seeds give "
-                f"byte-identical CSV reports, {len(mismatches)} mismatches")
+                f"byte-identical CSV reports, {len(mismatches)} mismatches; "
+                f"pinned SHA-256 differs for {changed or 'none'}")

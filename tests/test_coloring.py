@@ -83,6 +83,64 @@ def test_edge_coloring_validation():
         EdgeColoring(c4, [0, -1, 0, 0])
 
 
+CONTIGUOUS = "contiguous from 0 in first-occurrence order"
+
+
+def _unsigned_unless_negative(labels):
+    return np.array(labels, dtype=np.uint64 if min(labels) >= 0 else np.int64)
+
+
+@pytest.mark.parametrize("as_input", [list, tuple, np.array, _unsigned_unless_negative],
+                         ids=["list", "tuple", "int64", "uint64"])
+def test_edge_coloring_rejection_cases(as_input):
+    c4 = cycle_graph(4)
+    with pytest.raises(ValueError, match="coloring has 3 labels but the graph has 4 edges"):
+        EdgeColoring(c4, as_input([0, 1, 2]))
+    with pytest.raises(ValueError, match=CONTIGUOUS):
+        EdgeColoring(c4, as_input([1, 0, 0, 0]))  # first label not 0
+    with pytest.raises(ValueError, match=CONTIGUOUS):
+        EdgeColoring(c4, as_input([0, 1, 3, 2]))  # 3 is two above the running maximum 1
+    with pytest.raises(ValueError, match=CONTIGUOUS):
+        EdgeColoring(c4, as_input([0, -1, 0, 0]))  # negative
+    c = EdgeColoring(c4, as_input([0, 1, 1, 0]))
+    assert c.labels == (0, 1, 1, 0) and c.num_colors == 2
+    assert all(type(lab) is int for lab in c.labels)
+
+
+def test_edge_coloring_converts_labels_like_int():
+    c4 = cycle_graph(4)
+    assert EdgeColoring(c4, [0.0, 1.9, "2", True]).labels == (0, 1, 2, 1)
+    with pytest.raises(ValueError, match=CONTIGUOUS):
+        EdgeColoring(c4, [0, 1, 2**70, 2])  # beyond int64, still just out of order
+    with pytest.raises(ValueError, match=CONTIGUOUS):
+        EdgeColoring(c4, [0, 1, -(2**70), 2])
+    with pytest.raises(ValueError):
+        EdgeColoring(c4, [0, 1, "x", 2])
+
+
+def test_edge_coloring_check_matches_first_occurrence_loop():
+    def accepted(labels):
+        distinct = 0
+        for lab in labels:
+            if lab > distinct or lab < 0:
+                return False
+            distinct += lab == distinct
+        return True
+
+    rng = np.random.default_rng(17)
+    g = complete_graph(6)
+    for _ in range(500):
+        labels = rng.integers(-1, 5, size=g.m).tolist()
+        if rng.random() < 0.5:  # walk most draws towards canonical order
+            labels = EdgeColoring.from_labels(g, labels).labels
+            labels = [lab + int(rng.random() < 0.05) for lab in labels]
+        if accepted(labels):
+            assert EdgeColoring(g, labels).num_colors == len(set(labels))
+        else:
+            with pytest.raises(ValueError, match=CONTIGUOUS):
+                EdgeColoring(g, labels)
+
+
 def test_from_labels_canonicalizes():
     c4 = cycle_graph(4)
     c = EdgeColoring.from_labels(c4, ["red", "blue", "red", "green"])

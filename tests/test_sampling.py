@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mclab.graphs import pair_at
+from mclab.graphs import MAX_VERTICES, pair_at
 from mclab.sampling import (
     SPARSE_KERNEL_THRESHOLD,
     RngSeed,
@@ -133,6 +133,33 @@ def test_pairs_from_indices_matches_scalar_decode_large(n, data):
     idx = data.draw(st.integers(min_value=0, max_value=total - 1))
     u, v = pairs_from_indices(np.array([idx]), n)[0]
     assert (int(u), int(v)) == pair_at(idx, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10_000, MAX_VERTICES])
+def test_pairs_from_indices_sorted_batches(n):
+    # rank 0, the first rank of the last row, the last rank, and random ranks
+    total = n * (n - 1) // 2
+    last_row_start = (n - 2) * n - (n - 2) * (n - 1) // 2
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        drawn = rng.integers(0, total, size=min(total, 300))
+        ranks = np.unique(np.concatenate([[0, last_row_start, total - 1], drawn]))
+        decoded = pairs_from_indices(ranks, n)
+        assert decoded.dtype == np.int64 and decoded.shape == (ranks.size, 2)
+        assert [tuple(pair) for pair in decoded.tolist()] == [pair_at(int(i), n) for i in ranks]
+    assert pair_at(last_row_start, n) == (n - 2, n - 1)
+
+
+def test_pairs_from_indices_rejects_bad_ranks():
+    with pytest.raises(ValueError, match="increasing"):
+        pairs_from_indices(np.array([3, 1, 4]), 10)
+    with pytest.raises(ValueError, match="increasing"):
+        pairs_from_indices(np.array([2, 2]), 10)
+    with pytest.raises(ValueError, match="out of range"):
+        pairs_from_indices(np.array([-1, 0]), 10)
+    with pytest.raises(ValueError, match="out of range"):
+        pairs_from_indices(np.array([44, 45]), 10)
+    assert pairs_from_indices(np.array([], dtype=np.int64), 10).shape == (0, 2)
 
 
 # ------------------------------------------------------------- distribution

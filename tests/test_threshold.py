@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import oracles
-from mclab.coloring import exact_mc_small
+import mclab.graphs
+import mclab.threshold
+from mclab.coloring import DEFAULT_ORACLE_CAP, exact_mc_small
 from mclab.errors import UnsupportedSpecError
-from mclab.graphs import Graph, complete_graph, cycle_graph, star_graph
-from mclab.sampling import RngSeed
+from mclab.graphs import MAX_VERTICES, Graph, complete_graph, cycle_graph, star_graph
+from mclab.sampling import RngSeed, sample_gnp
 from mclab.threshold import (
     DENSE,
     DISCONNECTED,
@@ -22,6 +24,7 @@ from mclab.threshold import (
     YES,
     SweepConfig,
     ThresholdSpec,
+    TrialOutcome,
     chernoff_lower_tail,
     chernoff_upper_tail,
     connectivity_prob_limit,
@@ -198,6 +201,91 @@ def test_run_trial_examples():
 
     out = run_trial(100, 0.0, ThresholdSpec.constant(1), RngSeed(7, 1))
     assert (out.decision, out.decision_source) == (NO, DISCONNECTED)
+
+
+def test_decide_labels_components_at_most_once(monkeypatch):
+    calls = []
+    labels = mclab.graphs.component_labels
+
+    def counting(*args):
+        calls.append(args)
+        return labels(*args)
+
+    monkeypatch.setattr(mclab.graphs, "component_labels", counting)
+    out = decide_mc_at_least(cycle_graph(5), 2)
+    assert (out.decision, out.decision_source) == (YES, LOWER_BOUND)
+    assert len(calls) <= 1
+
+    calls.clear()
+    isolated = Graph(5, complete_graph(4).edges)  # m = 6 >= n - 1, vertex 4 isolated
+    out = decide_mc_at_least(isolated, 1)
+    assert (out.decision, out.decision_source, out.delta) == (NO, DISCONNECTED, 0)
+    assert calls == []
+
+    out = run_trial(200, 0.5, ThresholdSpec.constant(1), RngSeed(3, 0))
+    assert (out.decision, out.decision_source) == (YES, LOWER_BOUND)
+    assert len(calls) == 1
+
+
+def test_decide_single_vertex_is_upper_bound_no():
+    # mc_lower_bound gives 0 on one vertex, so the upper bound 0 < f decides
+    out = decide_mc_at_least(Graph(1), 1, allow_exact=True)
+    assert out == TrialOutcome(True, 0, 0, NO, UPPER_BOUND)
+
+
+def _specs_for(n):
+    candidates = (
+        ThresholdSpec.constant(1),
+        ThresholdSpec.constant(2),
+        ThresholdSpec.constant(3),
+        ThresholdSpec.power(1.0),
+        NLOGN1,
+    )
+    specs = []
+    for spec in candidates:
+        try:
+            spec.f_value(n)
+        except ValueError:
+            continue
+        specs.append(spec)
+    return specs
+
+
+def test_run_trial_matches_decide_on_sampled_graph():
+    # the lean trial kernel against the Graph path it replaces, cell by cell
+    sources = set()
+    for n in (3, 4, 16, 200):
+        for p in (0.0, 5e-324, 1e-17, math.log(n) / n, 0.099, 0.1, 0.5, 1.0):
+            for spec in _specs_for(n):
+                f_value = math.ceil(spec.f_value(n))
+                for allow_exact in (False, True):
+                    for t in range(10):
+                        seed = RngSeed(606, t)
+                        got = run_trial(n, p, spec, seed, allow_exact, DEFAULT_ORACLE_CAP)
+                        want = decide_mc_at_least(
+                            sample_gnp(n, p, seed), f_value, allow_exact, DEFAULT_ORACLE_CAP
+                        )
+                        assert got == want, (n, p, spec, allow_exact, t)
+                        sources.add(got.decision_source)
+    assert sources == {DISCONNECTED, LOWER_BOUND, UPPER_BOUND, EXACT_SMALL, None}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_run_trial_rejects_tiny_n_before_drawing(n, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before f(n) was checked")
+
+    monkeypatch.setattr(mclab.threshold, "_draw", no_draw)
+    with pytest.raises(ValueError, match="outside the supported range"):
+        run_trial(n, 0.5, ThresholdSpec.constant(1), RngSeed(0))
+
+
+def test_run_trial_at_max_vertices():
+    spec = ThresholdSpec.constant(1)
+    seed = RngSeed(5, 0)
+    out = run_trial(MAX_VERTICES, 1e-12, spec, seed)
+    assert out == decide_mc_at_least(sample_gnp(MAX_VERTICES, 1e-12, seed), 1)
+    assert (out.decision, out.decision_source, out.delta) == (NO, DISCONNECTED, 0)
 
 
 def test_run_trial_dense_no_rate():
