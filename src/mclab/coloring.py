@@ -28,12 +28,12 @@ from .errors import CapExceededError, NotConnectedError
 from .graphs import (
     _BLOCK_BYTES,
     DEFAULT_CHI_CAP,
+    EdgePair,
     Graph,
     _has_far_pair,
     chromatic_number,
     complement,
     component_labels,
-    has_cut_vertex,
     is_connected,
     is_k_connected,
     is_triangle_free,
@@ -198,16 +198,13 @@ def spanning_tree_coloring(g: Graph) -> EdgeColoring:
     Uses exactly m - n + 2 colors on a connected graph (one color when g is a
     tree) and always verifies: the tree class alone joins every pair.
     """
-    tree = set(spanning_tree(g))
-    labels = []
-    fresh = 1
-    for e in g.edges:
-        if e in tree:
-            labels.append(0)
-        else:
-            labels.append(fresh)
-            fresh += 1
-    return EdgeColoring(g, labels)
+    tree_edges = np.array(spanning_tree(g), dtype=np.int64).reshape(-1, 2)
+    arr = g.edge_array
+    # u * n + v ranks canonical edges in order, so the tree's ranks are found by search
+    ranks = arr[:, 0] * g.n + arr[:, 1]
+    tree = np.zeros(g.m, dtype=bool)
+    tree[np.searchsorted(ranks, tree_edges[:, 0] * g.n + tree_edges[:, 1])] = True
+    return EdgeColoring(g, np.where(tree, 0, np.cumsum(~tree)).tolist())
 
 
 def mc_lower_bound(g: Graph) -> int:
@@ -262,6 +259,13 @@ def exactness_certificate(
     Condition (d) runs no BFS: on a connected graph, diameter >= 3 holds iff
     some two vertices have no common neighbour and no edge, which row blocks of
     (A + I)^2 reveal as a row with fewer than n non-zeros.
+
+    Condition (e) runs no depth-first search either, because it is reached only
+    with diameter <= 2. If removing v leaves x and y in different components,
+    every x-y path runs through v, so distance at most 2 makes x-v-y a path:
+    v is adjacent to every other vertex. With a second such vertex w, G - v
+    stays connected through w. So (e) holds iff exactly one vertex has degree
+    n - 1 and removing it disconnects G, which one component labelling decides.
     """
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
@@ -276,12 +280,31 @@ def exactness_certificate(
         return EXACT_C
     if _has_far_pair(g):
         return EXACT_D
-    if has_cut_vertex(g):
-        return EXACT_E
+    # (d) failed, so the diameter is at most 2 and a cut vertex is adjacent to
+    # every other vertex; it is one only if no second vertex is
+    full = np.flatnonzero(g.degrees == n - 1)
+    if full.size == 1:
+        arr = g.edge_array
+        keep = (arr != full[0]).all(axis=1)
+        # the cut vertex itself is left isolated, one of the components
+        if component_labels(n, arr[keep, 0], arr[keep, 1])[0] > 2:
+            return EXACT_E
     return None
 
 
-def _rgs_search(g: Graph, m: int, best: int, prune: bool) -> int:
+def _join(comp: list[int], cu: int, cv: int) -> int:
+    """Point every vertex of the components ``cu`` and ``cv`` at their union."""
+    merged = rest = cu | cv
+    while rest:
+        low = rest & -rest
+        comp[low.bit_length() - 1] = merged
+        rest ^= low
+    return merged
+
+
+def _rgs_search(
+    edges: Sequence[EdgePair], n: int, best: int, top: int, prune: bool
+) -> int:
     """DFS over restricted-growth label strings; returns the max valid class count.
 
     Class j keeps, for each vertex, the bitmask of its component within the
@@ -290,12 +313,18 @@ def _rgs_search(g: Graph, m: int, best: int, prune: bool) -> int:
     a valid coloring iff, for every vertex, the OR of its masks over the used
     classes holds all n vertices.
 
-    With prune=True, prefixes that cannot beat `best` are skipped, which is
-    lossless because `best` starts at a count already achieved by a valid
-    coloring (or at 1, the always-valid single-class coloring).
+    With prune=True three cuts apply, none of which can lose the optimum:
+
+    * prefixes that cannot beat `best` are skipped; `best` starts at a count
+      already achieved by a valid coloring (or at 1, the always-valid
+      single-class coloring);
+    * an edge is never labelled into an existing class whose components
+      already join its ends. Moving such an edge to a class of its own keeps
+      every pair covered and adds a color, so every class of an optimal
+      coloring is a forest (Caro & Yuster, 2011), and its string survives;
+    * the search stops once `best` reaches `top`, an upper bound on mc.
     """
-    n = g.n
-    edges = g.edges
+    m = len(edges)
     everyone = (1 << n) - 1
     comp = [[1 << v for v in range(n)] for _ in range(m)]
 
@@ -308,33 +337,33 @@ def _rgs_search(g: Graph, m: int, best: int, prune: bool) -> int:
                 return False
         return True
 
-    def walk(i: int, used: int) -> None:
+    def walk(i: int, used: int) -> bool:
+        """Extend the prefix of length i; True once `best` reaches `top`."""
         nonlocal best
         if prune and used + (m - i) <= best:
-            return
+            return False
         if i == m:
             if used > best and valid(used):
                 best = used
-            return
+            return best >= top
         u, v = edges[i]
         for lab in range(used + 1):
             grown = used + 1 if lab == used else used
             cls = comp[lab]
             cu, cv = cls[u], cls[v]
             if cu == cv:  # already joined in this class
-                walk(i + 1, grown)
+                if not prune and walk(i + 1, grown):
+                    return True
                 continue
-            merged = rest = cu | cv
-            while rest:
-                low = rest & -rest
-                cls[low.bit_length() - 1] = merged
-                rest ^= low
-            walk(i + 1, grown)
+            merged = _join(cls, cu, cv)
+            if walk(i + 1, grown):
+                return True
             rest = merged
             while rest:
                 low = rest & -rest
                 cls[low.bit_length() - 1] = cu if cu & low else cv
                 rest ^= low
+        return False
 
     walk(0, 0)
     return best
@@ -344,20 +373,41 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP, prune: bool = True) 
     """Exact mc(G) by exhaustive partition search; 0 when disconnected.
 
     Enumeration runs over restricted-growth strings, i.e. set partitions of
-    the edge sequence, because color identity carries no meaning. The search
-    starts from m - n + 2, the color count of the always-valid spanning-tree
-    coloring, so pruning never changes the result (the property is also
-    asserted by tests with prune=False).
+    the edge sequence, because color identity carries no meaning. Within the
+    cap, connectivity and the minimum degree delta come from the same bitmask
+    merge the search uses, so no component labelling runs; beyond it, a
+    disconnected graph still returns 0 and a connected one raises.
+
+    With prune=True the search starts from m - n + 2, the color count of the
+    always-valid spanning-tree coloring, and stops at the upper bound
+    min(m - n + delta + 1, C(n, 2)); when the two meet (delta = 1, say) no
+    search runs at all. Its cuts are lossless (see :func:`_rgs_search`), which
+    tests check against prune=False, the plain exhaustive enumeration.
     """
-    if not is_connected(g):
-        return 0
-    m = g.m
+    n, m = g.n, g.m
     if m > cap:
+        if not is_connected(g):
+            return 0
         raise CapExceededError(f"edge count {m} too large for the exact search (cap {cap})")
     if m == 0:
         return 0
-    seed = m - g.n + 2 if prune else 1
-    return _rgs_search(g, m, seed, prune)
+    edges = g.edges
+    comp = [1 << v for v in range(n)]
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+        if comp[u] != comp[v]:
+            _join(comp, comp[u], comp[v])
+    if comp[0] != (1 << n) - 1:
+        return 0
+    if not prune:
+        return _rgs_search(edges, n, 1, m + 1, False)  # m + 1 colors: no early stop
+    seed = m - n + 2
+    top = min(m - n + min(degree) + 1, n * (n - 1) // 2)
+    if seed == top:
+        return seed
+    return _rgs_search(edges, n, seed, top, True)
 
 
 def analyze(

@@ -52,37 +52,6 @@ def pair_at(index: int, n: int) -> EdgePair:
     return u, index - base + u + 1
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    __slots__ = ("parent", "size", "count")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.count -= 1
-        return True
-
-
 class Graph:
     """Simple undirected graph in canonical form.
 
@@ -160,6 +129,14 @@ class Graph:
         return d
 
     @cached_property
+    def _connected(self) -> bool:
+        if self.n == 1:
+            return True
+        if self.m < self.n - 1:
+            return False
+        return component_labels(self.n, *self._array.T)[0] == 1
+
+    @cached_property
     def _adjacency(self) -> list[list[int]]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self._array.tolist():
@@ -230,11 +207,8 @@ def component_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[int,
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    if g.m < g.n - 1:
-        return False
-    return component_labels(g.n, *g.edge_array.T)[0] == 1
+    """Whether g is connected; labelled once per ``Graph`` and memoised."""
+    return g._connected
 
 
 def connected_components(g: Graph) -> list[list[int]]:

@@ -58,6 +58,37 @@ def brute_components(n, edges, skip=()):
     return comps
 
 
+class UnionFind:
+    """Disjoint sets over 0..n-1 with path compression and union by size."""
+
+    __slots__ = ("parent", "size", "count")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.count = n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.count -= 1
+        return True
+
+
 def brute_connected(n, edges):
     return len(brute_components(n, edges)) == 1
 

@@ -1,12 +1,16 @@
 """Coloring construction/verification, the bound ladder, certificates, exact search."""
 
+import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mclab.coloring
+import mclab.graphs
 import oracles
 from mclab.coloring import (
     CHROMATIC_UPPER,
@@ -38,6 +42,7 @@ from mclab.graphs import (
     Graph,
     _has_far_pair,
     complete_graph,
+    component_labels,
     cycle_graph,
     diameter,
     has_cut_vertex,
@@ -266,6 +271,32 @@ def test_spanning_tree_coloring_seeded_samples():
         assert verify_mc_coloring(g, c)
 
 
+def test_spanning_tree_coloring_matches_edge_loop():
+    def loop_labels(g):
+        """The labelling as first written: a loop over the canonical edges."""
+        tree = set(spanning_tree(g))
+        labels = []
+        fresh = 1
+        for e in g.edges:
+            if e in tree:
+                labels.append(0)
+            else:
+                labels.append(fresh)
+                fresh += 1
+        return tuple(labels)
+
+    graphs = [Graph(1), path_graph(5), cycle_graph(4), petersen_graph(), complete_graph(7)]
+    graphs.append(sample_gnp(2000, 0.05, RngSeed(5)))
+    rng = np.random.default_rng(2000)
+    stream = 0
+    for _ in range(20):
+        n = int(rng.integers(2, 80))
+        g, stream = sample_connected(n, float(rng.uniform(0.15, 0.9)), stream, master=2000)
+        graphs.append(g)
+    for g in graphs:
+        assert spanning_tree_coloring(g).labels == loop_labels(g)
+
+
 # ------------------------------------------------------------------- bounds
 
 
@@ -399,6 +430,32 @@ def test_certificate_matches_reference_exhaustive_and_sampled():
     assert seen == {EXACT_A, EXACT_B, EXACT_C, EXACT_D, EXACT_E, None}
 
 
+def two_cliques_sharing_a_vertex(a):
+    """Copies of K_a on 0..a-1 and on 0, a..2a-2: n = 2a - 1, diameter 2, cut vertex 0."""
+    second = [0, *range(a, 2 * a - 1)]
+    pairs = [*itertools.combinations(range(a), 2), *itertools.combinations(second, 2)]
+    return Graph.from_pairs(2 * a - 1, pairs)
+
+
+@pytest.mark.parametrize("a", [4, 10, 40])
+def test_certificate_e_runs_no_cut_vertex_search(a, monkeypatch):
+    g = two_cliques_sharing_a_vertex(a)
+    n = g.n
+    apex = Graph(n + 1, sorted(g.edges + tuple((v, n) for v in range(n))))
+    for h, cuts in ((g, (0,)), (apex, ())):
+        assert oracles.brute_diameter(h.n, h.edges) == 2
+        assert oracles.brute_cut_vertices(h.n, h.edges) == cuts
+
+    def refuse(_):
+        raise AssertionError("the depth-first cut-vertex search ran")
+
+    monkeypatch.setattr(mclab.graphs, "has_cut_vertex", refuse)
+    monkeypatch.setattr(mclab.graphs, "articulation_points", refuse)
+    monkeypatch.setattr(mclab.coloring, "has_cut_vertex", refuse, raising=False)
+    assert exactness_certificate(g) == EXACT_E  # at a = 40, n = 79 is past kappa_cap
+    assert exactness_certificate(apex) is None
+
+
 def test_array_checks_on_large_sparse_graph_stay_within_block_memory():
     # n = 50 000: a dense n x n array would take 2.5 GB, and even packed bits
     # 312 MB, against a traced peak bound of 64 MiB
@@ -477,6 +534,9 @@ def test_exact_mc_matches_independent_oracle():
             continue
         assert exact_mc_small(g) == oracles.oracle_mc(6, list(g.edges))
         done += 1
+    for edges in connected_edge_subsets(5):
+        if len(edges) <= 8:
+            assert exact_mc_small(Graph(5, edges)) == oracles.oracle_mc(5, edges)
 
 
 def test_pruned_and_unpruned_agree():
@@ -495,6 +555,53 @@ def test_pruned_and_unpruned_agree():
         g = Graph(5, edges)
         assert exact_mc_small(g, prune=False) == exact_mc_small(g)
         done += 1
+    for edges in connected_edge_subsets(5):
+        if len(edges) <= 8:
+            g = Graph(5, edges)
+            assert exact_mc_small(g, prune=False) == exact_mc_small(g)
+
+
+def counting_component_labels(monkeypatch):
+    """Route every component labelling through a counter keyed by the edge arrays."""
+    calls = Counter()
+
+    def counted(n, heads, tails):
+        calls[n, heads.tobytes(), tails.tobytes()] += 1
+        return component_labels(n, heads, tails)
+
+    monkeypatch.setattr(mclab.graphs, "component_labels", counted)
+    monkeypatch.setattr(mclab.coloring, "component_labels", counted)
+    return calls
+
+
+def test_exact_mc_within_cap_labels_no_components(monkeypatch):
+    calls = counting_component_labels(monkeypatch)
+    assert exact_mc_small(Graph(1)) == 0
+    for n in range(2, 5):
+        for edges in oracles.all_edge_subsets(n):
+            assert exact_mc_small(Graph(n, edges)) == oracles.oracle_mc(n, edges)
+    for edges in ([], [(0, 1), (2, 3), (3, 4)], [(0, 1), (0, 2), (1, 2), (3, 4)]):
+        assert exact_mc_small(Graph(5, edges)) == 0 == oracles.oracle_mc(5, edges)
+    assert not calls
+    # beyond the cap a disconnected graph still returns 0, by one labelling
+    c5 = cycle_graph(5).edges
+    two_c5 = Graph(10, c5 + tuple((u + 5, v + 5) for u, v in c5))
+    assert exact_mc_small(two_c5, cap=9) == 0
+    assert sum(calls.values()) == 1
+
+
+def test_exact_mc_runs_no_search_at_min_degree_one(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the partition search ran")
+
+    monkeypatch.setattr(mclab.coloring, "_rgs_search", refuse)
+    checked = 0
+    for n in range(2, 6):
+        for edges in connected_edge_subsets(n):
+            if min(sum(x in e for e in edges) for x in range(n)) == 1:
+                assert exact_mc_small(Graph(n, edges)) == oracles.oracle_mc(n, edges)
+                checked += 1
+    assert checked == 507
 
 
 def test_sandwich_and_completeness_small():
@@ -550,6 +657,34 @@ def test_analyze_examples():
     b = analyze(Graph(1))
     assert b.exact == 0
     assert TREE_LOWER in b.certificates
+
+
+def test_analyze_labels_each_graph_once(monkeypatch):
+    calls = counting_component_labels(monkeypatch)
+    graphs = [
+        petersen_graph(),
+        two_cliques_sharing_a_vertex(4),
+        two_cliques_sharing_a_vertex(40),
+        Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+        cycle_graph(6),
+        path_graph(5),
+        sample_gnp(64, 0.3, RngSeed(6)),
+    ]
+    rng = np.random.default_rng(4455)
+    stream = 0
+    for _ in range(8):
+        g, stream = sample_connected(int(rng.integers(4, 9)), 0.6, stream, master=4455)
+        graphs.append(g)
+    for g in graphs:
+        calls.clear()
+        b = analyze(g)
+        arr = g.edge_array
+        assert calls[g.n, arr[:, 0].tobytes(), arr[:, 1].tobytes()] == 1
+        assert max(calls.values()) == 1  # the complement and G - v are other graphs
+        if g.m <= 9:
+            assert b.exact == oracles.oracle_mc(g.n, list(g.edges))
+    calls.clear()
+    assert analyze(Graph(4, [(0, 1), (2, 3)])).exact == 0 and not calls
 
 
 def test_analyze_without_oracle_leaves_gap_open():

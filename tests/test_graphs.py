@@ -13,7 +13,6 @@ from mclab.errors import CapExceededError, NotConnectedError
 from mclab.graphs import (
     MAX_VERTICES,
     Graph,
-    UnionFind,
     _has_far_pair,
     articulation_points,
     chromatic_number,
@@ -38,6 +37,7 @@ from mclab.graphs import (
     vertex_connectivity,
 )
 from mclab.sampling import RngSeed, sample_gnp
+from oracles import UnionFind
 
 
 @st.composite
