@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import connected_components as _scipy_components
 from scipy.sparse.csgraph import maximum_flow
 
@@ -190,6 +191,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _csr_components(n: int, indptr: np.ndarray, tails: np.ndarray) -> tuple[int, np.ndarray]:
+    """Component count and labels of the undirected graph on 0..n-1 whose
+    vertex u has the edges to ``tails[indptr[u]:indptr[u+1]]``."""
+    ones = np.ones(tails.shape[0])  # float64, the dtype scipy's traversal reads
+    return _scipy_components(csr_matrix((ones, tails, indptr), shape=(n, n)), directed=False)
+
+
 def component_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[int, np.ndarray]:
     """Component count and per-vertex component label of the undirected graph
     on 0..n-1 with edges (heads[i], tails[i]); repeated edges are allowed.
@@ -197,12 +205,9 @@ def component_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[int,
     Non-decreasing heads (canonical edge order) are read as CSR rows in place;
     other edge orders go through a COO matrix.
     """
-    ones = np.ones(heads.shape[0])  # float64, the dtype scipy's traversal reads
     if (heads[1:] >= heads[:-1]).all():
-        indptr = np.searchsorted(heads, np.arange(n + 1))
-        mat = csr_matrix((ones, tails, indptr), shape=(n, n))
-    else:
-        mat = coo_matrix((ones, (heads, tails)), shape=(n, n))
+        return _csr_components(n, np.searchsorted(heads, np.arange(n + 1)), tails)
+    mat = coo_matrix((np.ones(heads.shape[0]), (heads, tails)), shape=(n, n))
     return _scipy_components(mat, directed=False)
 
 
@@ -244,25 +249,21 @@ def spanning_tree(g: Graph) -> tuple[EdgePair, ...]:
     """Deterministic spanning tree: breadth-first from vertex 0, neighbors ascending.
 
     Returns the tree's edges in canonical order; raises for disconnected input.
+    The search runs on the symmetric CSR with sorted rows, so it visits each
+    vertex's neighbours in ascending order.
     """
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
     if g.n == 1:
         return ()
-    adj = g._adjacency
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    tree: list[EdgePair] = []
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                tree.append((u, v) if u < v else (v, u))
-                queue.append(v)
-    tree.sort()
-    return tuple(tree)
+    adj = _adjacency_matrix(g)
+    adj.sort_indices()
+    _, pred = breadth_first_order(adj, 0, directed=True, return_predecessors=True)
+    child = np.arange(1, g.n)
+    parent = pred[1:].astype(np.int64)
+    lo, hi = np.minimum(parent, child), np.maximum(parent, child)
+    order = np.argsort(lo * g.n + hi)
+    return tuple(zip(lo[order].tolist(), hi[order].tolist()))
 
 
 def _bfs_eccentricity(adj: list[list[int]], source: int, n: int) -> int:

@@ -14,11 +14,13 @@ finalizer, so every (master_seed, stream_index, n, p, kernel) tuple yields a
 bit-identical graph on every platform.
 
 Both kernels yield the canonical ranks of the present pairs in increasing
-order. :func:`pairs_from_indices` turns such ranks into edges with an exact
-integer row search: the row starts ``u*n - u(u+1)/2`` are searched in the
-ranks, which gives each row's edge count (a CSR row pointer) directly. The
-sweep trials in :mod:`mclab.threshold` read m, degrees and components from
-that decode without building a :class:`~mclab.graphs.Graph`.
+order. The decode is an exact integer row search: the row starts
+``u*n - u(u+1)/2`` are searched in the ranks, which gives the CSR row pointer
+of the graph directly, and each rank minus its row's offset gives the second
+endpoint. The sweep trials in :mod:`mclab.threshold` carry that one CSR,
+``(indptr, tails)``, to m, the degrees and the components without building a
+:class:`~mclab.graphs.Graph`; :func:`pairs_from_indices` adds the first
+endpoints back for callers that need edge pairs.
 """
 
 from __future__ import annotations
@@ -70,19 +72,20 @@ class RngSeed:
         return np.random.Generator(np.random.Philox(key=self.stream_key()))
 
 
-def _decode_rows(ranks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR row pointer and endpoint columns of increasing, in-range pair ranks.
+def _decode_rows(ranks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR row pointer and second endpoints of increasing, in-range pair ranks.
 
     Row u = 0..n starts at rank u*n - u(u+1)/2 (row n at C(n,2)), so
     ``indptr[u]`` counts the ranks below that start and row u holds ranks
-    ``indptr[u]:indptr[u+1]``, whose first endpoint is u.
+    ``indptr[u]:indptr[u+1]``: the pairs (u, v) with v = rank - start + u + 1.
+    The first endpoints are implied by ``indptr`` and never materialised here.
     """
     rows = np.arange(n + 1, dtype=np.int64)
     starts = rows * n - rows * (rows + 1) // 2
     indptr = np.searchsorted(ranks, starts)
-    u = np.repeat(rows[:-1], np.diff(indptr))
-    v = ranks - starts[u] + u + 1
-    return indptr, u, v
+    tails = np.repeat(starts[:-1] - rows[:-1] - 1, np.diff(indptr))
+    np.subtract(ranks, tails, out=tails)
+    return indptr, tails
 
 
 def pairs_from_indices(indices: np.ndarray, n: int) -> np.ndarray:
@@ -101,8 +104,8 @@ def pairs_from_indices(indices: np.ndarray, n: int) -> np.ndarray:
             raise ValueError(f"pair rank out of range for n={n}")
         if not (np.diff(idx) > 0).all():
             raise ValueError("pair ranks must be strictly increasing")
-    _, u, v = _decode_rows(idx, n)
-    return np.column_stack([u, v])
+    indptr, tails = _decode_rows(idx, n)
+    return np.column_stack([np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)), tails])
 
 
 def _dense_indices(gen: np.random.Generator, total: int, p: float) -> np.ndarray:
@@ -121,20 +124,34 @@ def _sparse_indices(gen: np.random.Generator, total: int, p: float) -> np.ndarra
     # gap to the next present pair is geometric: 1 + floor(log(1-U)/log(1-p)).
     # For tiny p the quotient can exceed int64 or overflow to inf, so it is
     # clamped to `total` before the cast; any gap that long ends the draw.
+    # The first batch holds E[m] + 4 sqrt(E[m]) uniforms, at least four standard
+    # deviations above the mean edge count, so one batch nearly always suffices; Philox yields the same doubles however the calls
+    # are chunked, and the steps increase strictly, so the ranks do not depend
+    # on the batch sizes.
     log_q = math.log1p(-p)
+    expected = total * p
+    size = max(_SPARSE_BATCH, int(expected + 4 * math.sqrt(expected)))
     hits = []
     position = -1
     while True:
-        u = gen.random(_SPARSE_BATCH)
+        u = gen.random(size)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
         with np.errstate(over="ignore"):
-            quotient = np.log1p(-u) / log_q
-        gaps = 1 + np.minimum(np.floor(quotient), total).astype(np.int64)
-        steps = position + np.cumsum(gaps)
-        hits.append(steps[steps < total])
-        if steps[-1] >= total:
+            np.divide(u, log_q, out=u)
+        np.floor(u, out=u)
+        np.minimum(u, total, out=u)
+        steps = u.astype(np.int64)
+        steps += 1
+        steps[0] += position
+        np.cumsum(steps, out=steps)
+        end = int(np.searchsorted(steps, total))
+        hits.append(steps[:end])
+        if end < size:
             break
         position = int(steps[-1])
-    return np.concatenate(hits)
+        size = _SPARSE_BATCH
+    return hits[0] if len(hits) == 1 else np.concatenate(hits)
 
 
 def _draw(n: int, p: float, seed: RngSeed, kernel: str = "auto") -> np.ndarray:

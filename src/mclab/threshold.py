@@ -26,7 +26,7 @@ from . import graphs
 from .coloring import DEFAULT_ORACLE_CAP, exact_mc_small
 from .errors import UnsupportedSpecError
 from .graphs import Graph, min_degree
-from .sampling import RngSeed, _decode_rows, _draw
+from .sampling import RngSeed, _decode_rows, _draw, pairs_from_indices
 
 # f(n) preset families
 CONSTANT = "CONSTANT"
@@ -195,20 +195,21 @@ def _decide(
     n: int,
     m: int,
     delta: int,
-    heads: np.ndarray,
+    indptr: np.ndarray,
     tails: np.ndarray,
     f_value: int,
     allow_exact: bool,
     oracle_cap: int,
     graph: Callable[[], Graph],
 ) -> TrialOutcome:
-    """The decision ladder on m, delta and the edges (heads[i], tails[i]).
+    """The decision ladder on m, delta and the CSR edges: vertex u is joined to
+    ``tails[indptr[u]:indptr[u+1]]``.
 
     Components are labelled at most once, and not at all when a vertex is
     isolated or m < n - 1; ``graph()`` is called only when the exact oracle runs.
     """
     if n > 1 and (
-        delta == 0 or m < n - 1 or graphs.component_labels(n, heads, tails)[0] != 1
+        delta == 0 or m < n - 1 or graphs._csr_components(n, indptr, tails)[0] != 1
     ):
         return TrialOutcome(False, m, delta, NO, DISCONNECTED)
     lower = m - n + 2 if n > 1 else 0  # mc_lower_bound: a single vertex takes 0
@@ -240,8 +241,9 @@ def decide_mc_at_least(
     if f_value < 1:
         raise ValueError("f_value must be at least 1")
     heads, tails = g.edge_array.T
+    indptr = np.searchsorted(heads, np.arange(g.n + 1))
     return _decide(
-        g.n, g.m, min_degree(g), heads, tails, f_value, allow_exact, oracle_cap, lambda: g
+        g.n, g.m, min_degree(g), indptr, tails, f_value, allow_exact, oracle_cap, lambda: g
     )
 
 
@@ -256,18 +258,18 @@ def run_trial(
     """Sample one graph and decide mc >= ceil(f(n)); deterministic per seed.
 
     The outcome equals ``decide_mc_at_least(sample_gnp(n, p, seed), ...)``,
-    but the trial reads m, the degrees and the components straight from the
-    decoded pair ranks: a :class:`Graph` is built only when the exact oracle
-    runs (``allow_exact`` and m <= ``oracle_cap``).
+    but the trial carries one CSR, ``(indptr, tails)``, from the decoded pair
+    ranks to m, the degrees and the components: a :class:`Graph` is built
+    only when the exact oracle runs (``allow_exact`` and m <= ``oracle_cap``).
     """
     f_value = math.ceil(spec.f_value(n))
     ranks = _draw(n, p, seed)
-    indptr, heads, tails = _decode_rows(ranks, n)
+    indptr, tails = _decode_rows(ranks, n)
     m = ranks.shape[0]
     delta = int((np.diff(indptr) + np.bincount(tails, minlength=n)).min())
     return _decide(
-        n, m, delta, heads, tails, f_value, allow_exact, oracle_cap,
-        lambda: Graph(n, np.column_stack([heads, tails])),
+        n, m, delta, indptr, tails, f_value, allow_exact, oracle_cap,
+        lambda: Graph(n, pairs_from_indices(ranks, n)),
     )
 
 
@@ -388,56 +390,45 @@ def sweep(config: SweepConfig) -> SweepReport:
 
     Failed cells (for example n below the formula domain) become rows with an
     error message instead of aborting the whole sweep. Identical config and
-    seed give identical reports regardless of worker count.
+    seed give identical reports regardless of worker count: every row's trial
+    slices go through one map, and the tallies are summed per row.
     """
-    rows: list[SweepRow] = []
-    row_index = 0
-    pool = ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    try:
-        for n in config.n_list:
-            for multiplier in config.multiplier_list:
-                try:
-                    base_p = threshold_p(config.spec, n)
-                except (ValueError, UnsupportedSpecError) as exc:
-                    rows.append(
-                        SweepRow(n, multiplier, 0.0, config.trials, 0, 0, 0, 0.0,
-                                 error=str(exc))
-                    )
-                    row_index += 1
-                    continue
-                p = multiplier * base_p
-                clamped = p > 1.0
-                p = min(1.0, p)
-                tallies = (0, 0, 0)
-                if pool is None:
-                    tallies = _trial_batch((config, n, p, row_index, 0, config.trials))
-                else:
-                    step = max(1, math.ceil(config.trials / (config.workers * 4)))
-                    jobs = [
-                        (config, n, p, row_index, start, min(start + step, config.trials))
-                        for start in range(0, config.trials, step)
-                    ]
-                    parts = list(pool.map(_trial_batch, jobs))
-                    tallies = tuple(sum(part[i] for part in parts) for i in range(3))
-                yes, no, unknown = tallies
-                rows.append(
-                    SweepRow(
-                        n,
-                        multiplier,
-                        p,
-                        config.trials,
-                        yes,
-                        no,
-                        unknown,
-                        yes / config.trials,
-                        clamped=clamped,
-                    )
-                )
-                row_index += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return SweepReport(config=config, rows=tuple(rows))
+    cells = []  # (n, multiplier, p, clamped, error) in row-index order
+    for n in config.n_list:
+        for multiplier in config.multiplier_list:
+            try:
+                base_p = threshold_p(config.spec, n)
+            except (ValueError, UnsupportedSpecError) as exc:
+                cells.append((n, multiplier, 0.0, False, str(exc)))
+                continue
+            p = multiplier * base_p
+            cells.append((n, multiplier, min(1.0, p), p > 1.0, None))
+
+    step = config.trials
+    if config.workers > 1:
+        step = max(1, math.ceil(config.trials / (config.workers * 4)))
+    jobs = [
+        (config, n, p, row_index, start, min(start + step, config.trials))
+        for row_index, (n, _, p, _, error) in enumerate(cells)
+        if error is None
+        for start in range(0, config.trials, step)
+    ]
+    tallies = [[0, 0, 0] for _ in cells]
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            parts = list(pool.map(_trial_batch, jobs))
+    else:
+        parts = map(_trial_batch, jobs)
+    for job, part in zip(jobs, parts):
+        row_index = job[3]
+        tallies[row_index] = [a + b for a, b in zip(tallies[row_index], part)]
+
+    rows = tuple(
+        SweepRow(n, multiplier, p, config.trials, yes, no, unknown, yes / config.trials,
+                 clamped=clamped, error=error)
+        for (n, multiplier, p, clamped, error), (yes, no, unknown) in zip(cells, tallies)
+    )
+    return SweepReport(config=config, rows=rows)
 
 
 def default_upper_multiplier(spec: ThresholdSpec) -> float:

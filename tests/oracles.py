@@ -7,6 +7,10 @@ enumeration, no shared code with the library under test.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
+
+import numpy as np
 
 from mclab.graphs import Graph
 
@@ -91,6 +95,43 @@ class UnionFind:
 
 def brute_connected(n, edges):
     return len(brute_components(n, edges)) == 1
+
+
+def bfs_spanning_tree(n, edges):
+    """Spanning tree by a Python BFS from vertex 0 over ascending neighbour
+    lists, in canonical order; None if the graph is disconnected."""
+    adj = [sorted(nbrs) for nbrs in adjacency(n, edges)]
+    seen = [False] * n
+    seen[0] = True
+    queue = deque([0])
+    tree = []
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                tree.append((min(u, v), max(u, v)))
+                queue.append(v)
+    return tuple(sorted(tree)) if all(seen) else None
+
+
+def batched_sparse_ranks(gen, total, p, batch=4096):
+    """Geometric-gap ranks of G(n,p), drawn in fixed batches of `batch`
+    uniforms; `gen` is the Philox generator of the trial's seed."""
+    log_q = math.log1p(-p)
+    hits = []
+    position = -1
+    while True:
+        u = gen.random(batch)
+        with np.errstate(over="ignore"):
+            quotient = np.log1p(-u) / log_q
+        gaps = 1 + np.minimum(np.floor(quotient), total).astype(np.int64)
+        steps = position + np.cumsum(gaps)
+        hits.append(steps[steps < total])
+        if steps[-1] >= total:
+            break
+        position = int(steps[-1])
+    return np.concatenate(hits)
 
 
 def brute_diameter(n, edges):

@@ -339,6 +339,19 @@ def test_spanning_tree_properties_all_connected_n5():
             assert uf.count == 1  # spans all vertices
 
 
+def test_spanning_tree_matches_python_bfs():
+    graphs = [
+        Graph(n, edges)
+        for n in range(1, 6)
+        for edges in oracles.all_edge_subsets(n)
+        if oracles.brute_connected(n, edges)
+    ]
+    for n, p, seed in ((2000, 0.05, 5), (600, 0.5, 11), (64, 0.3, 6), (10_000, 1e-3, 1)):
+        graphs.append(sample_gnp(n, p, RngSeed(seed)))
+    for g in graphs:
+        assert spanning_tree(g) == oracles.bfs_spanning_tree(g.n, g.edges), g
+
+
 def test_spanning_tree_rejects_disconnected():
     with pytest.raises(NotConnectedError):
         spanning_tree(Graph(4, [(0, 1), (2, 3)]))

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from mclab.graphs import MAX_VERTICES, pair_at
 from mclab.sampling import (
     SPARSE_KERNEL_THRESHOLD,
     RngSeed,
+    _draw,
     mix64,
     pairs_from_indices,
     sample_gnp,
@@ -77,6 +79,53 @@ def test_sparse_kernel_tiny_p_draws_no_edges(p):
         warnings.simplefilter("error")
         g = sample_gnp(100, p, RngSeed(1))
     assert g.n == 100 and g.m == 0
+
+
+def _sparse_grid():
+    """(n, p) cells of the sparse-kernel differential test, with E[m] far
+    below the edge limit: the first batch holds about E[m] uniforms."""
+    cells = [(MAX_VERTICES, 1e-12)]
+    for n in (2, 3, 16, 2000, 10_000):
+        # five times p* = (f + n log log n)/n^2 for f = n log n, where below 1
+        dense = 5 * (n * math.log(n) + n * math.log(math.log(n))) / (n * n)
+        for p in (5e-324, 1e-17, 1e-6, math.log(n) / n, dense, 0.0999):
+            if p < 1:
+                cells.append((n, p))
+    return cells
+
+
+# at n = 2000, p = log n/n this draw holds more pairs than the E[m] + 4 sqrt(E[m])
+# uniforms of its first batch, so it needs a second one
+TWO_BATCH_SEED = RngSeed(606, 14258)
+
+
+def test_sparse_kernel_matches_fixed_batch_loop(monkeypatch):
+    # the ranks may not depend on how the uniforms are batched
+    batches = []
+    fresh = RngSeed.generator
+
+    class Recording:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def random(self, size):
+            batches[-1].append(size)
+            return self.gen.random(size)
+
+    def recording(seed):
+        batches.append([])
+        return Recording(fresh(seed))
+
+    monkeypatch.setattr(RngSeed, "generator", recording)
+    for n, p in _sparse_grid():
+        seeds = [RngSeed(606, t) for t in range(20)]
+        if (n, p) == (2000, math.log(2000) / 2000):
+            seeds.append(TWO_BATCH_SEED)
+        for seed in seeds:
+            got = _draw(n, p, seed, kernel="sparse")
+            want = oracles.batched_sparse_ranks(fresh(seed), n * (n - 1) // 2, p)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, p, seed)
+    assert max(len(sizes) for sizes in batches) > 1
 
 
 def test_sample_gnp_rejects_bad_arguments():

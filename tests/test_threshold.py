@@ -204,14 +204,15 @@ def test_run_trial_examples():
 
 
 def test_decide_labels_components_at_most_once(monkeypatch):
+    # counts the one CSR labelling entry that component_labels and the trial share
     calls = []
-    labels = mclab.graphs.component_labels
+    labels = mclab.graphs._csr_components
 
     def counting(*args):
         calls.append(args)
         return labels(*args)
 
-    monkeypatch.setattr(mclab.graphs, "component_labels", counting)
+    monkeypatch.setattr(mclab.graphs, "_csr_components", counting)
     out = decide_mc_at_least(cycle_graph(5), 2)
     assert (out.decision, out.decision_source) == (YES, LOWER_BOUND)
     assert len(calls) <= 1
@@ -343,14 +344,19 @@ def test_sweep_deterministic_and_csv_shape():
 
 
 def test_sweep_workers_do_not_change_output():
-    config1 = SweepConfig(
-        spec=NLOGN1, n_list=(200,), multiplier_list=(1.0, 5.0), trials=24, master_seed=4
-    )
-    config2 = SweepConfig(
-        spec=NLOGN1, n_list=(200,), multiplier_list=(1.0, 5.0), trials=24,
-        master_seed=4, workers=2,
-    )
-    assert sweep(config1).to_csv() == sweep(config2).to_csv()
+    # n = 10 fails below the formula domain and multiplier 2000 clamps p to 1;
+    # with workers > 1 every row's trial slices go through one pool map
+    for n_list, multipliers in (((200,), (1.0, 5.0)), ((10, 200), (1.0, 5.0, 2000.0))):
+        reports = [
+            sweep(SweepConfig(spec=NLOGN1, n_list=n_list, multiplier_list=multipliers,
+                              trials=24, master_seed=4, workers=workers))
+            for workers in (1, 2, 3)
+        ]
+        assert len({report.to_csv() for report in reports}) == 1
+        assert len({report.rows for report in reports}) == 1
+    rows = reports[0].rows
+    assert [row.error is not None for row in rows] == [True] * 3 + [False] * 3
+    assert [row.clamped for row in rows] == [False] * 5 + [True]
 
 
 def test_sweep_marks_failed_rows_and_continues():
