@@ -412,13 +412,13 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP, prune: bool = True) 
 
 def analyze(
     g: Graph,
-    use_exact_oracle: bool = True,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     chi_cap: int = DEFAULT_CHI_CAP,
     kappa_cap: int = DEFAULT_KAPPA_CAP,
 ) -> McBounds:
     """Full certified bracket on mc(G), with the exact value whenever one
-    of the closed-form arguments or the small-graph oracle settles it.
+    of the closed-form arguments or the small-graph oracle (run when
+    m <= ``oracle_cap``, so never at 0) settles it.
     """
     if not is_connected(g):
         return McBounds(0, 0, 0, (DISCONNECTED,))
@@ -440,7 +440,7 @@ def analyze(
             certs.append(cert)
     if exact is None and lower == upper:
         exact = lower
-    if exact is None and use_exact_oracle and g.m <= oracle_cap:
+    if exact is None and g.m <= oracle_cap:
         exact = exact_mc_small(g, cap=oracle_cap)
         certs.append(EXACT_ORACLE)
     return McBounds(lower, upper, exact, tuple(certs))

@@ -8,7 +8,6 @@ immutable after construction and safe to share between threads or processes.
 from __future__ import annotations
 
 import math
-from collections import deque
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import connected_components as _scipy_components
-from scipy.sparse.csgraph import maximum_flow
+from scipy.sparse.csgraph import maximum_flow, shortest_path
 
 from .errors import CapExceededError, NotConnectedError
 
@@ -138,22 +137,12 @@ class Graph:
         return component_labels(self.n, *self._array.T)[0] == 1
 
     @cached_property
-    def _adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self._array.tolist():
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
-
-    @cached_property
     def _adjacency_sets(self) -> list[set[int]]:
-        return [set(lst) for lst in self._adjacency]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return tuple(self._adjacency[v])
+        heads = np.concatenate((self._array[:, 0], self._array[:, 1]))
+        tails = np.concatenate((self._array[:, 1], self._array[:, 0]))
+        grouped = tails[np.argsort(heads)].tolist()  # neighbours of 0, then of 1, ...
+        ends = np.cumsum(self.degrees).tolist()
+        return [set(grouped[start:end]) for start, end in zip([0] + ends[:-1], ends)]
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -266,37 +255,29 @@ def spanning_tree(g: Graph) -> tuple[EdgePair, ...]:
     return tuple(zip(lo[order].tolist(), hi[order].tolist()))
 
 
-def _bfs_eccentricity(adj: list[list[int]], source: int, n: int) -> int:
-    dist = [-1] * n
-    dist[source] = 0
-    queue = deque([source])
-    ecc = 0
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du + 1
-                if du + 1 > ecc:
-                    ecc = du + 1
-                queue.append(v)
-    return ecc
-
-
 def diameter(g: Graph) -> int | float:
-    """Largest shortest-path distance; ``math.inf`` for disconnected graphs."""
+    """Largest shortest-path distance; ``math.inf`` for disconnected graphs.
+
+    Breadth-first distances come from scipy's unweighted shortest paths, a
+    block of sources at a time, so each block's rows of the n-column distance
+    array take about ``_BLOCK_BYTES``.
+    """
     if not is_connected(g):
         return math.inf
-    if g.n == 1:
-        return 0
-    adj = g._adjacency
-    return max(_bfs_eccentricity(adj, s, g.n) for s in range(g.n))
+    n = g.n
+    adj = _adjacency_matrix(g)
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    far = 0
+    for start in range(0, n, rows):
+        block = np.arange(start, min(start + rows, n))
+        far = max(far, int(shortest_path(adj, unweighted=True, indices=block).max()))
+    return far
 
 
 def articulation_points(g: Graph) -> tuple[int, ...]:
     """Vertices whose removal increases the component count (iterative DFS)."""
     n = g.n
-    adj = g._adjacency
+    adj = g._adjacency_sets
     disc = [-1] * n
     low = [0] * n
     is_ap = [False] * n
@@ -454,7 +435,7 @@ def _separating_pairs(g: Graph) -> Iterator[EdgePair]:
     for w in range(g.n):
         if w != v and w not in adj[v]:
             yield v, w
-    nbrs = g._adjacency[v]
+    nbrs = sorted(adj[v])
     for i, x in enumerate(nbrs):
         for y in nbrs[i + 1 :]:
             if y not in adj[x]:

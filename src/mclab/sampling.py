@@ -2,16 +2,19 @@
 
 One public entry point, :func:`sample_gnp`, draws a graph in which each of the
 C(n,2) vertex pairs appears independently with probability p. Two kernels sit
-behind it:
+behind it, and p alone picks one:
 
-* dense: one uniform draw per pair, compared against p in canonical pair order;
-* sparse: geometric gaps between successive present pairs, so work scales with
-  the number of edges drawn rather than the number of pairs.
+* sparse, for p below ``SPARSE_KERNEL_THRESHOLD``: geometric gaps between
+  successive present pairs, so work scales with the number of edges drawn
+  rather than the number of pairs;
+* dense, for every other p (p = 1 included): one uniform draw per pair,
+  compared against p in canonical pair order.
 
 Both kernels consume a counter-based Philox stream keyed by
 ``master_seed XOR mix64(stream_index)`` where ``mix64`` is the SplitMix64
-finalizer, so every (master_seed, stream_index, n, p, kernel) tuple yields a
-bit-identical graph on every platform.
+finalizer, so every (master_seed, stream_index, n, p) tuple yields a
+bit-identical graph on every platform. Both stop with ``ValueError`` as soon
+as the pairs drawn so far pass ``MAX_EDGES``.
 
 Both kernels yield the canonical ranks of the present pairs in increasing
 order. The decode is an exact integer row search: the row starts
@@ -30,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_EDGES, MAX_VERTICES, Graph
 
 _MASK64 = (1 << 64) - 1
 
-# p below this routes "auto" to the geometric-gap kernel
+# p below this draws with the geometric-gap kernel
 SPARSE_KERNEL_THRESHOLD = 0.1
 
 _DENSE_CHUNK = 1 << 20
@@ -110,13 +113,12 @@ def pairs_from_indices(indices: np.ndarray, n: int) -> np.ndarray:
 
 def _dense_indices(gen: np.random.Generator, total: int, p: float) -> np.ndarray:
     hits = []
+    drawn = 0
     for start in range(0, total, _DENSE_CHUNK):
-        count = min(_DENSE_CHUNK, total - start)
-        chunk = np.nonzero(gen.random(count) < p)[0]
-        if chunk.size:
-            hits.append(chunk + start)
-    if not hits:
-        return np.empty(0, dtype=np.int64)
+        hits.append(np.nonzero(gen.random(min(_DENSE_CHUNK, total - start)) < p)[0] + start)
+        drawn += hits[-1].size
+        if drawn > MAX_EDGES:
+            raise ValueError(f"drawn edge count exceeds limit {MAX_EDGES}")
     return np.concatenate(hits)
 
 
@@ -125,13 +127,16 @@ def _sparse_indices(gen: np.random.Generator, total: int, p: float) -> np.ndarra
     # For tiny p the quotient can exceed int64 or overflow to inf, so it is
     # clamped to `total` before the cast; any gap that long ends the draw.
     # The first batch holds E[m] + 4 sqrt(E[m]) uniforms, at least four standard
-    # deviations above the mean edge count, so one batch nearly always suffices; Philox yields the same doubles however the calls
-    # are chunked, and the steps increase strictly, so the ranks do not depend
-    # on the batch sizes.
+    # deviations above the mean edge count, so one batch nearly always
+    # suffices; it never holds more than MAX_EDGES + 1, enough to see a draw
+    # pass the limit. Philox yields the same doubles however the calls are
+    # chunked, and the steps increase strictly, so the ranks do not depend on
+    # the batch sizes.
     log_q = math.log1p(-p)
     expected = total * p
-    size = max(_SPARSE_BATCH, int(expected + 4 * math.sqrt(expected)))
+    size = min(MAX_EDGES + 1, max(_SPARSE_BATCH, int(expected + 4 * math.sqrt(expected))))
     hits = []
+    drawn = 0
     position = -1
     while True:
         u = gen.random(size)
@@ -146,6 +151,9 @@ def _sparse_indices(gen: np.random.Generator, total: int, p: float) -> np.ndarra
         steps[0] += position
         np.cumsum(steps, out=steps)
         end = int(np.searchsorted(steps, total))
+        drawn += end
+        if drawn > MAX_EDGES:
+            raise ValueError(f"drawn edge count exceeds limit {MAX_EDGES}")
         hits.append(steps[:end])
         if end < size:
             break
@@ -154,7 +162,7 @@ def _sparse_indices(gen: np.random.Generator, total: int, p: float) -> np.ndarra
     return hits[0] if len(hits) == 1 else np.concatenate(hits)
 
 
-def _draw(n: int, p: float, seed: RngSeed, kernel: str = "auto") -> np.ndarray:
+def _draw(n: int, p: float, seed: RngSeed) -> np.ndarray:
     """Check the arguments of :func:`sample_gnp`, then draw the increasing
     canonical ranks of the present pairs from the seed's Philox stream."""
     if not isinstance(n, (int, np.integer)) or n < 1:
@@ -164,23 +172,15 @@ def _draw(n: int, p: float, seed: RngSeed, kernel: str = "auto") -> np.ndarray:
     p = float(p)
     if math.isnan(p) or not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
-    if kernel not in ("auto", "dense", "sparse"):
-        raise ValueError(f"unknown kernel {kernel!r}")
 
     total = n * (n - 1) // 2
     if total == 0 or p == 0.0:
         return np.empty(0, dtype=np.int64)
-    if kernel == "auto":
-        kernel = "sparse" if p < SPARSE_KERNEL_THRESHOLD else "dense"
-    if p == 1.0 and kernel == "sparse":
-        kernel = "dense"  # log(1-p) is undefined; every pair is present anyway
-
-    gen = seed.generator()
-    if kernel == "dense":
-        return _dense_indices(gen, total, p)
-    return _sparse_indices(gen, total, p)
+    if p < SPARSE_KERNEL_THRESHOLD:
+        return _sparse_indices(seed.generator(), total, p)
+    return _dense_indices(seed.generator(), total, p)
 
 
-def sample_gnp(n: int, p: float, seed: RngSeed, kernel: str = "auto") -> Graph:
+def sample_gnp(n: int, p: float, seed: RngSeed) -> Graph:
     """Draw one graph from the independent-pairs model, deterministically per seed."""
-    return Graph(n, pairs_from_indices(_draw(n, p, seed, kernel), n))
+    return Graph(n, pairs_from_indices(_draw(n, p, seed), n))

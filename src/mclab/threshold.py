@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -25,8 +24,8 @@ import numpy as np
 from . import graphs
 from .coloring import DEFAULT_ORACLE_CAP, exact_mc_small
 from .errors import UnsupportedSpecError
-from .graphs import Graph, min_degree
-from .sampling import RngSeed, _decode_rows, _draw, pairs_from_indices
+from .graphs import Graph
+from .sampling import RngSeed, _decode_rows, _draw
 
 # f(n) preset families
 CONSTANT = "CONSTANT"
@@ -193,21 +192,22 @@ class TrialOutcome:
 
 def _decide(
     n: int,
-    m: int,
-    delta: int,
     indptr: np.ndarray,
     tails: np.ndarray,
     f_value: int,
     allow_exact: bool,
     oracle_cap: int,
-    graph: Callable[[], Graph],
 ) -> TrialOutcome:
-    """The decision ladder on m, delta and the CSR edges: vertex u is joined to
-    ``tails[indptr[u]:indptr[u+1]]``.
+    """The decision ladder on the CSR edges: vertex u is joined to
+    ``tails[indptr[u]:indptr[u+1]]``, so m is ``len(tails)`` and the degrees
+    are the row lengths plus the tail counts.
 
     Components are labelled at most once, and not at all when a vertex is
-    isolated or m < n - 1; ``graph()`` is called only when the exact oracle runs.
+    isolated or m < n - 1; a :class:`Graph` is built only when the exact
+    oracle runs.
     """
+    m = len(tails)
+    delta = int((np.diff(indptr) + np.bincount(tails, minlength=n)).min())
     if n > 1 and (
         delta == 0 or m < n - 1 or graphs._csr_components(n, indptr, tails)[0] != 1
     ):
@@ -219,7 +219,8 @@ def _decide(
     if upper < f_value:
         return TrialOutcome(True, m, delta, NO, UPPER_BOUND)
     if allow_exact and m <= oracle_cap:
-        exact = exact_mc_small(graph(), cap=oracle_cap)
+        heads = np.repeat(np.arange(n), np.diff(indptr))
+        exact = exact_mc_small(Graph(n, np.column_stack([heads, tails])), cap=oracle_cap)
         decision = YES if exact >= f_value else NO
         return TrialOutcome(True, m, delta, decision, EXACT_SMALL)
     return TrialOutcome(True, m, delta, UNKNOWN, None)
@@ -242,9 +243,7 @@ def decide_mc_at_least(
         raise ValueError("f_value must be at least 1")
     heads, tails = g.edge_array.T
     indptr = np.searchsorted(heads, np.arange(g.n + 1))
-    return _decide(
-        g.n, g.m, min_degree(g), indptr, tails, f_value, allow_exact, oracle_cap, lambda: g
-    )
+    return _decide(g.n, indptr, tails, f_value, allow_exact, oracle_cap)
 
 
 def run_trial(
@@ -263,14 +262,7 @@ def run_trial(
     only when the exact oracle runs (``allow_exact`` and m <= ``oracle_cap``).
     """
     f_value = math.ceil(spec.f_value(n))
-    ranks = _draw(n, p, seed)
-    indptr, tails = _decode_rows(ranks, n)
-    m = ranks.shape[0]
-    delta = int((np.diff(indptr) + np.bincount(tails, minlength=n)).min())
-    return _decide(
-        n, m, delta, indptr, tails, f_value, allow_exact, oracle_cap,
-        lambda: Graph(n, pairs_from_indices(ranks, n)),
-    )
+    return _decide(n, *_decode_rows(_draw(n, p, seed), n), f_value, allow_exact, oracle_cap)
 
 
 def trial_seed(master_seed: int, row_index: int, trial_index: int) -> RngSeed:

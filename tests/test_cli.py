@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import mclab.cli
+import mclab.sampling
 from mclab.cli import ExperimentConfig, parse_config, run
 from mclab.files import read_edge_list, write_edge_list
 from mclab.graphs import cycle_graph
@@ -88,6 +89,15 @@ def test_gen_bad_probability_exits_2(tmp_path, capsys):
     out = tmp_path / "g.txt"
     assert run(["gen", "--n", "5", "--p", "1.5", "--seed", "1", "--out", str(out)]) == 2
     capsys.readouterr()
+
+
+def test_gen_past_edge_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # E[m] is about 10^6 here, past the patched limit and far below the real one
+    monkeypatch.setattr(mclab.sampling, "MAX_EDGES", 1000)
+    out = tmp_path / "g.txt"
+    assert run(["gen", "--n", "2000", "--p", "0.5", "--seed", "1", "--out", str(out)]) == 2
+    assert "exceeds limit 1000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- analyze

@@ -689,7 +689,7 @@ def test_analyze_labels_each_graph_once(monkeypatch):
 
 def test_analyze_without_oracle_leaves_gap_open():
     k4e = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    b = analyze(k4e, use_exact_oracle=False)
+    b = analyze(k4e, oracle_cap=0)
     assert b.exact is None and (b.lower, b.upper) == (3, 4)
 
 

@@ -215,8 +215,10 @@ def test_far_pair_matches_brute_diameter_sampled(block_bytes):
     for _ in range(60):
         n = int(rng.integers(2, 31))
         g = sample_gnp(n, rng.uniform(0.05, 0.8), RngSeed(30303, int(rng.integers(1 << 30))))
+        brute = oracles.brute_diameter(n, list(g.edges))
+        assert diameter(g) == brute  # tiny blocks run one source per block
         if is_connected(g):
-            assert _has_far_pair(g) == (oracles.brute_diameter(n, list(g.edges)) >= 3)
+            assert _has_far_pair(g) == (brute >= 3)
 
 
 def test_triangle_free_matches_brute_force_up_to_n40(block_bytes):

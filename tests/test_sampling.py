@@ -14,15 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import mclab.sampling
 from mclab.graphs import MAX_VERTICES, pair_at
 from mclab.sampling import (
+    _DENSE_CHUNK,
     SPARSE_KERNEL_THRESHOLD,
     RngSeed,
+    _dense_indices,
     _draw,
+    _sparse_indices,
     mix64,
     pairs_from_indices,
     sample_gnp,
 )
+from mclab.threshold import ThresholdSpec, run_trial
 
 
 def test_mix64_reference_vectors():
@@ -67,7 +72,6 @@ def test_sample_gnp_extremes():
     assert g0.n == 5 and g0.m == 0
     g1 = sample_gnp(5, 1.0, RngSeed(1))
     assert g1.m == 10 and g1.is_complete()
-    assert sample_gnp(5, 1.0, RngSeed(1), kernel="sparse").is_complete()
     single = sample_gnp(1, 0.7, RngSeed(3))
     assert single.n == 1 and single.m == 0
 
@@ -99,33 +103,57 @@ def _sparse_grid():
 TWO_BATCH_SEED = RngSeed(606, 14258)
 
 
-def test_sparse_kernel_matches_fixed_batch_loop(monkeypatch):
-    # the ranks may not depend on how the uniforms are batched
+class Recording:
+    """Generator wrapper that logs the size of every batch of uniforms asked for."""
+
+    def __init__(self, gen, sizes):
+        self.gen = gen
+        self.sizes = sizes
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.gen.random(size)
+
+
+def test_sparse_kernel_matches_fixed_batch_loop():
+    # the ranks may not depend on how the uniforms are batched; the grid's
+    # n = 2 and 3 cells with p >= 0.1 are ones _draw sends to the dense kernel
     batches = []
-    fresh = RngSeed.generator
-
-    class Recording:
-        def __init__(self, gen):
-            self.gen = gen
-
-        def random(self, size):
-            batches[-1].append(size)
-            return self.gen.random(size)
-
-    def recording(seed):
-        batches.append([])
-        return Recording(fresh(seed))
-
-    monkeypatch.setattr(RngSeed, "generator", recording)
     for n, p in _sparse_grid():
         seeds = [RngSeed(606, t) for t in range(20)]
         if (n, p) == (2000, math.log(2000) / 2000):
             seeds.append(TWO_BATCH_SEED)
         for seed in seeds:
-            got = _draw(n, p, seed, kernel="sparse")
-            want = oracles.batched_sparse_ranks(fresh(seed), n * (n - 1) // 2, p)
+            batches.append([])
+            total = n * (n - 1) // 2
+            got = _sparse_indices(Recording(seed.generator(), batches[-1]), total, p)
+            want = oracles.batched_sparse_ranks(seed.generator(), total, p)
             assert got.dtype == want.dtype and np.array_equal(got, want), (n, p, seed)
     assert max(len(sizes) for sizes in batches) > 1
+
+
+def test_draws_past_the_edge_limit_stop_early(monkeypatch):
+    # E[m] at n = 2000 is about 10^5 (p = 0.05) and 10^6 (p = 0.5), far past
+    # the patched limit of 1000 edges and far below the real one
+    monkeypatch.setattr(mclab.sampling, "MAX_EDGES", 1000)
+    n, total = 2000, 2000 * 1999 // 2
+    # the sparse draw stops after its first batch, the dense one after its first chunk
+    for kernel, p, first in ((_sparse_indices, 0.05, 1001), (_dense_indices, 0.5, _DENSE_CHUNK)):
+        sizes = []
+        with pytest.raises(ValueError, match="exceeds limit 1000"):
+            kernel(Recording(RngSeed(5, 1).generator(), sizes), total, p)
+        assert sizes == [first]
+        with pytest.raises(ValueError, match="exceeds limit 1000"):
+            sample_gnp(n, p, RngSeed(5, 1))
+        with pytest.raises(ValueError, match="exceeds limit 1000"):
+            run_trial(n, p, ThresholdSpec.constant(1), RngSeed(5, 1))
+    # a draw within the limit keeps its ranks while the first batch is capped
+    for t in range(20):
+        sizes = []
+        seed = RngSeed(5, t)
+        got = _sparse_indices(Recording(seed.generator(), sizes), 19900, 0.02)
+        assert sizes[0] == 1001 and got.size <= 1000
+        assert np.array_equal(got, oracles.batched_sparse_ranks(seed.generator(), 19900, 0.02))
 
 
 def test_sample_gnp_rejects_bad_arguments():
@@ -135,16 +163,16 @@ def test_sample_gnp_rejects_bad_arguments():
             sample_gnp(5, bad_p, seed)
     with pytest.raises(ValueError):
         sample_gnp(0, 0.5, seed)
-    with pytest.raises(ValueError):
-        sample_gnp(5, 0.5, seed, kernel="quantum")
 
 
 def test_auto_kernel_selection_is_pinned():
     seed = RngSeed(77, 1)
     below = SPARSE_KERNEL_THRESHOLD / 2
     above = SPARSE_KERNEL_THRESHOLD
-    assert sample_gnp(60, below, seed) == sample_gnp(60, below, seed, kernel="sparse")
-    assert sample_gnp(60, above, seed) == sample_gnp(60, above, seed, kernel="dense")
+    total = 60 * 59 // 2
+    assert np.array_equal(_draw(60, below, seed), _sparse_indices(seed.generator(), total, below))
+    assert np.array_equal(_draw(60, above, seed), _dense_indices(seed.generator(), total, above))
+    assert np.array_equal(_draw(60, 1.0, seed), np.arange(total))
 
 
 @given(
@@ -215,17 +243,14 @@ def test_pairs_from_indices_rejects_bad_ranks():
 
 
 @pytest.mark.parametrize("p", [0.05, 0.5])
-@pytest.mark.parametrize("kernel", ["dense", "sparse"])
+@pytest.mark.parametrize("kernel", [_dense_indices, _sparse_indices], ids=["dense", "sparse"])
 def test_kernels_agree_with_edge_probability(p, kernel):
     # per-pair frequency over many trials stays within 4 standard errors of p
     n, trials = 50, 20_000
     total = n * (n - 1) // 2
     counts = np.zeros(total, dtype=np.int64)
     for t in range(trials):
-        g = sample_gnp(n, p, RngSeed(8_675_309, t), kernel=kernel)
-        arr = g.edge_array
-        idx = arr[:, 0] * n - arr[:, 0] * (arr[:, 0] + 1) // 2 + arr[:, 1] - arr[:, 0] - 1
-        counts[idx] += 1
+        counts[kernel(RngSeed(8_675_309, t).generator(), total, p)] += 1
     freq = counts / trials
     se = math.sqrt(p * (1 - p) / trials)
     worst = np.abs(freq - p).max()
