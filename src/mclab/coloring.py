@@ -17,6 +17,7 @@ genuinely needs connectivity raise instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -72,8 +73,11 @@ class EdgeColoring:
     """
 
     def __init__(self, graph: Graph, labels: Sequence[int]):
-        # int() returns a Python int argument itself, so the tuple shares them
-        labels = tuple(map(int, labels))
+        indexed = map(operator.index, labels)  # unlike int(), refuses floats; ints come back as is
+        try:
+            labels = tuple(indexed)
+        except TypeError:
+            raise ValueError("edge labels must be integers") from None
         if len(labels) != graph.m:
             raise ValueError(
                 f"coloring has {len(labels)} labels but the graph has {graph.m} edges"

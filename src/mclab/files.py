@@ -12,6 +12,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
+
 from .coloring import EdgeColoring
 from .errors import FormatError
 from .graphs import Graph
@@ -67,8 +69,7 @@ def read_edge_list(path: str | Path) -> Graph:
 def write_edge_list(g: Graph, path: str | Path) -> None:
     with open(Path(path), "w", encoding="utf-8") as fh:
         fh.write(f"{g.n} {g.m}\n")
-        for u, v in g.edges:
-            fh.write(f"{u} {v}\n")
+        np.savetxt(fh, g.edge_array, fmt="%d")
 
 
 def read_coloring(path: str | Path, g: Graph) -> EdgeColoring:

@@ -3,6 +3,9 @@
 Vertices are ``0..n-1``. Edges are stored canonically: each pair ``(u, v)``
 with ``u < v``, sorted lexicographically, no duplicates. All values are
 immutable after construction and safe to share between threads or processes.
+
+A ``Graph`` caches, on first use, its degrees, whether it is connected, and one
+symmetric CSR adjacency matrix with sorted rows that every neighbourhood query reads.
 """
 
 from __future__ import annotations
@@ -93,17 +96,16 @@ class Graph:
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Sequence[int]]) -> "Graph":
         """Build a graph from unordered pairs, normalizing each to (min, max) and sorting."""
-        normalized = []
-        for p in pairs:
-            u, v = int(p[0]), int(p[1])
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v}) not allowed")
-            normalized.append((u, v) if u < v else (v, u))
-        normalized.sort()
-        for a, b in zip(normalized, normalized[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a}")
-        return cls(n, normalized)
+        arr = np.asarray(list(pairs))
+        if arr.ndim == 2 and arr.shape[1] == 2 and np.issubdtype(arr.dtype, np.integer):
+            arr = np.sort(arr, axis=1)
+            arr = arr[np.argsort(arr[:, 0] * n + arr[:, 1])]
+            loops, repeats = arr[:, 0] == arr[:, 1], (arr[1:] == arr[:-1]).all(axis=1)
+            if loops.any():
+                raise ValueError(f"self-loop {tuple(arr[loops.argmax()].tolist())} not allowed")
+            if repeats.any():
+                raise ValueError(f"duplicate edge {tuple(arr[repeats.argmax()].tolist())}")
+        return cls(n, arr)  # rejects other shapes, non-integer and out-of-range endpoints
 
     @property
     def m(self) -> int:
@@ -137,12 +139,18 @@ class Graph:
         return component_labels(self.n, *self._array.T)[0] == 1
 
     @cached_property
-    def _adjacency_sets(self) -> list[set[int]]:
-        heads = np.concatenate((self._array[:, 0], self._array[:, 1]))
-        tails = np.concatenate((self._array[:, 1], self._array[:, 0]))
-        grouped = tails[np.argsort(heads)].tolist()  # neighbours of 0, then of 1, ...
-        ends = np.cumsum(self.degrees).tolist()
-        return [set(grouped[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+    def _adjacency(self) -> csr_matrix:
+        """Symmetric float32 CSR adjacency matrix, each row's columns ascending.
+
+        Products of it count walks of length at most 2, so every entry read is
+        at most n + 1 <= 2^24, which float32 holds exactly."""
+        arr, n = self._array, self.n
+        ones = np.ones(arr.shape[0], dtype=np.float32)
+        # the canonical edge array is the upper triangle in CSR order
+        upper = csr_matrix((ones, arr[:, 1], np.searchsorted(arr[:, 0], np.arange(n + 1))), (n, n))
+        adj = upper + upper.T
+        adj.sort_indices()  # only a check: scipy's sum of canonical matrices is sorted
+        return adj
 
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
@@ -150,16 +158,8 @@ class Graph:
         return (u, v) in self.edge_set
 
     def with_edge(self, u: int, v: int) -> "Graph":
-        """New graph with one extra edge; rejects loops and existing edges."""
-        if u > v:
-            u, v = v, u
-        if u == v:
-            raise ValueError("self-loop not allowed")
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if (u, v) in self.edge_set:
-            raise ValueError(f"edge ({u}, {v}) already present")
-        return Graph(self.n, sorted(self.edges + ((u, v),)))
+        """New graph with one extra edge; rejects loops, out-of-range ends and existing edges."""
+        return Graph.from_pairs(self.n, np.vstack((self._array, [(u, v)])))
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -238,16 +238,14 @@ def spanning_tree(g: Graph) -> tuple[EdgePair, ...]:
     """Deterministic spanning tree: breadth-first from vertex 0, neighbors ascending.
 
     Returns the tree's edges in canonical order; raises for disconnected input.
-    The search runs on the symmetric CSR with sorted rows, so it visits each
+    The search runs on the graph's CSR, whose rows are sorted, so it visits each
     vertex's neighbours in ascending order.
     """
     if not is_connected(g):
         raise NotConnectedError("graph is not connected")
     if g.n == 1:
         return ()
-    adj = _adjacency_matrix(g)
-    adj.sort_indices()
-    _, pred = breadth_first_order(adj, 0, directed=True, return_predecessors=True)
+    _, pred = breadth_first_order(g._adjacency, 0, directed=True, return_predecessors=True)
     child = np.arange(1, g.n)
     parent = pred[1:].astype(np.int64)
     lo, hi = np.minimum(parent, child), np.maximum(parent, child)
@@ -264,8 +262,7 @@ def diameter(g: Graph) -> int | float:
     """
     if not is_connected(g):
         return math.inf
-    n = g.n
-    adj = _adjacency_matrix(g)
+    n, adj = g.n, g._adjacency
     rows = max(1, _BLOCK_BYTES // (8 * n))
     far = 0
     for start in range(0, n, rows):
@@ -277,7 +274,7 @@ def diameter(g: Graph) -> int | float:
 def articulation_points(g: Graph) -> tuple[int, ...]:
     """Vertices whose removal increases the component count (iterative DFS)."""
     n = g.n
-    adj = g._adjacency_sets
+    adj = _neighbour_lists(g)
     disc = [-1] * n
     low = [0] * n
     is_ap = [False] * n
@@ -321,20 +318,10 @@ def has_cut_vertex(g: Graph) -> bool:
     return bool(articulation_points(g))
 
 
-def _adjacency_matrix(g: Graph, loops: bool = False) -> csr_matrix:
-    """Symmetric n x n float32 adjacency matrix A, or A + I with ``loops``.
-
-    Its products are read only for their non-zero pattern, which float32
-    keeps: each entry is a sum of positive walk counts.
-    """
-    arr = g.edge_array
-    heads = [arr[:, 0], arr[:, 1]]
-    tails = [arr[:, 1], arr[:, 0]]
-    if loops:
-        heads.append(np.arange(g.n))
-        tails.append(np.arange(g.n))
-    heads, tails = np.concatenate(heads), np.concatenate(tails)
-    return csr_matrix((np.ones(heads.shape[0], dtype=np.float32), (heads, tails)), shape=(g.n, g.n))
+def _neighbour_lists(g: Graph) -> list[list[int]]:
+    """Each vertex's neighbours, ascending, as Python lists cut from the CSR rows."""
+    flat, ends = g._adjacency.indices.tolist(), g._adjacency.indptr.tolist()
+    return [flat[start:end] for start, end in zip(ends, ends[1:])]
 
 
 def _has_far_pair(g: Graph) -> bool:
@@ -343,23 +330,23 @@ def _has_far_pair(g: Graph) -> bool:
     On a connected graph this is exactly ``diameter(g) >= 3``. Row x of
     (A + I)^2 is non-zero exactly at the vertices within distance 2 of x, so a
     row with fewer than n non-zeros answers yes. The rows are formed a block at
-    a time as (A + I) times dense columns (the matrix is symmetric), which keeps
-    the extra memory at O(m) plus about 1 MiB per block, for any n.
+    a time as A B + B, where B holds the block's dense columns of A + I (the
+    matrix is symmetric), so the extra memory is about 3 MiB per block, for any n.
     """
-    n = g.n
-    reach = _adjacency_matrix(g, loops=True)
+    n, adj = g.n, g._adjacency
     rows = max(1, _BLOCK_BYTES // (4 * n))
     for start in range(0, n, rows):
-        if not (reach @ reach[start : start + rows].toarray().T).all():
+        near = adj[start : start + rows].toarray().T
+        near[np.arange(start, start + near.shape[1]), np.arange(near.shape[1])] = 1
+        if not (adj @ near + near).all():
             return True
     return False
 
 
 def _packed_adjacency(g: Graph) -> np.ndarray:
     """n x ceil(n/8) uint8 array; bit v % 8 of byte v // 8 in row u is set iff u ~ v."""
-    arr = g.edge_array
-    heads = np.concatenate((arr[:, 0], arr[:, 1]))
-    tails = np.concatenate((arr[:, 1], arr[:, 0]))
+    heads = np.repeat(np.arange(g.n), g.degrees)
+    tails = g._adjacency.indices
     bits = np.zeros((g.n, (g.n + 7) // 8), dtype=np.uint8)
     np.bitwise_or.at(bits, (heads, tails >> 3), np.left_shift(1, tails & 7).astype(np.uint8))
     return bits
@@ -384,7 +371,7 @@ def is_triangle_free(g: Graph) -> bool:
             if (bits[ends[:, 0]] & bits[ends[:, 1]]).any():
                 return False
         return True
-    adj = _adjacency_matrix(g)
+    adj = g._adjacency
     # row u of A @ A has at most min(n, sum of deg(w) over neighbours w) entries
     cost = np.cumsum(np.minimum(adj @ g.degrees.astype(np.float64), n))
     limit = max(1, _BLOCK_BYTES // 8)  # an entry takes an int32 index and a float32 value
@@ -400,9 +387,13 @@ def is_triangle_free(g: Graph) -> bool:
 
 
 def complement(g: Graph) -> Graph:
-    es = g.edge_set
-    n = g.n
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in es])
+    """The graph of the non-edges of g: the upper-triangle cells its edge array misses."""
+    n, arr = g.n, g.edge_array
+    if n * (n - 1) // 2 - g.m > MAX_EDGES:
+        raise ValueError(f"complement edge count exceeds limit {MAX_EDGES}")
+    absent = np.triu(np.ones((n, n), dtype=bool), 1)
+    absent[arr[:, 0], arr[:, 1]] = False
+    return Graph(n, np.argwhere(absent))
 
 
 def _split_network(g: Graph) -> csr_matrix:
@@ -421,43 +412,47 @@ def _split_network(g: Graph) -> csr_matrix:
     return csr_matrix((caps, (heads, tails)), shape=(2 * n, 2 * n))
 
 
-def _separating_pairs(g: Graph) -> Iterator[EdgePair]:
-    """Non-adjacent pairs whose least local connectivity is kappa on a
-    non-complete graph (Esfahanian & Hakimi, 1984).
+def _separating_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Non-adjacent pairs (s[i], t[i]) whose least local connectivity is kappa
+    on a non-complete graph (Esfahanian & Hakimi, 1984).
 
-    With v of minimum degree: v and each of its non-neighbours, then each
-    non-adjacent pair of v's neighbours. A minimum cut that misses v separates
-    it from some non-neighbour; one that holds v separates two of v's
-    neighbours. That is at most (n - 1 - delta) + delta(delta - 1)/2 pairs.
+    With v of minimum degree: v and each of its non-neighbours, ascending, then
+    each non-adjacent pair of v's neighbours, row by row. A minimum cut that
+    misses v separates it from some non-neighbour; one that holds v separates
+    two of v's neighbours. That is at most (n - 1 - delta) + delta(delta - 1)/2 pairs.
     """
-    adj = g._adjacency_sets
+    adj = g._adjacency
     v = int(np.argmin(g.degrees))
-    for w in range(g.n):
-        if w != v and w not in adj[v]:
-            yield v, w
-    nbrs = sorted(adj[v])
-    for i, x in enumerate(nbrs):
-        for y in nbrs[i + 1 :]:
-            if y not in adj[x]:
-                yield x, y
+    nbrs = adj.indices[adj.indptr[v] : adj.indptr[v + 1]]
+    far = np.ones(g.n, dtype=bool)
+    far[nbrs] = far[v] = False
+    far = np.flatnonzero(far)
+    # zeros above the diagonal of the neighbour block, in row-major order
+    x, y = np.nonzero(np.triu(adj[nbrs].toarray()[:, nbrs] == 0, 1))
+    return np.concatenate((np.full(far.shape[0], v), nbrs[x])), np.concatenate((far, nbrs[y]))
 
 
 def _pair_connectivities(g: Graph, cap: int) -> Iterator[int]:
     """min(local vertex connectivity, cap) of each pair from :func:`_separating_pairs`.
 
     A pair with at least ``cap`` common neighbours has that many disjoint
-    paths of length 2 and needs no flow. The others each take a maximum flow
-    on one split network, built at the first of them.
+    paths of length 2 and needs no flow. One sparse product, A times the dense
+    rows of the pairs' first vertices (at most delta + 1 of them, so at most
+    2m + n entries), counts them. The other pairs each take a maximum flow on
+    one split network, built at the first of them.
     """
-    adj = g._adjacency_sets
+    s, t = _separating_pairs(g)
+    adj = g._adjacency
+    firsts, column = np.unique(s, return_inverse=True)
+    common = (adj @ adj[firsts].toarray().T)[t, column]
     net = None
-    for s, t in _separating_pairs(g):
-        if len(adj[s] & adj[t]) >= cap:
+    for u, w, shared in zip(s.tolist(), t.tolist(), common.tolist()):
+        if shared >= cap:
             yield cap
             continue
         if net is None:
             net = _split_network(g)
-        yield min(cap, int(maximum_flow(net, 2 * s + 1, 2 * t).flow_value))
+        yield min(cap, int(maximum_flow(net, 2 * u + 1, 2 * w).flow_value))
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -500,7 +495,7 @@ def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> int:
         raise CapExceededError(f"graph too large for exact chromatic number (n={n} > cap={cap})")
     if g.m == 0:
         return 1
-    adj = g._adjacency_sets
+    adj = _neighbour_lists(g)
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
 
     clique: list[int] = []

@@ -469,13 +469,11 @@ def estimate_transition(
     evaluations = 0
 
     def frac_yes(multiplier: float) -> float:
+        # one sweep row per evaluation, its row index the evaluation count
         nonlocal evaluations
+        config = SweepConfig(spec, (n,), (multiplier,), trials, master_seed)
         p = min(1.0, multiplier * base_p)
-        yes = 0
-        for t in range(trials):
-            outcome = run_trial(n, p, spec, trial_seed(master_seed, evaluations, t))
-            if outcome.decision == YES:
-                yes += 1
+        yes, _, _ = _trial_batch((config, n, p, evaluations, 0, trials))
         evaluations += 1
         return yes / trials
 

@@ -115,6 +115,23 @@ def bfs_spanning_tree(n, edges):
     return tuple(sorted(tree)) if all(seen) else None
 
 
+def brute_separating_pairs(n, edges):
+    """Esfahanian-Hakimi pairs of a connected, non-complete graph, by definition:
+    v is the smallest vertex of least degree; v with each non-neighbour in
+    ascending order, then the non-adjacent pairs of v's neighbours in
+    lexicographic order."""
+    adj = adjacency(n, edges)
+    v = min(range(n), key=lambda x: (len(adj[x]), x))
+    pairs = [(v, w) for w in range(n) if w != v and w not in adj[v]]
+    nbrs = sorted(adj[v])
+    return pairs + [(x, y) for x, y in itertools.combinations(nbrs, 2) if y not in adj[x]]
+
+
+def brute_complement(n, edges):
+    present = set(edges)
+    return [p for p in all_pairs(n) if p not in present]
+
+
 def batched_sparse_ranks(gen, total, p, batch=4096):
     """Geometric-gap ranks of G(n,p), drawn in fixed batches of `batch`
     uniforms; `gen` is the Philox generator of the trial's seed."""

@@ -86,6 +86,8 @@ def test_edge_coloring_validation():
         EdgeColoring(c4, [0, 2, 1, 0])  # label 2 appears before 1
     with pytest.raises(ValueError):
         EdgeColoring(c4, [0, -1, 0, 0])
+    with pytest.raises(ValueError):
+        EdgeColoring(path_graph(3), [0, 0.9])  # not truncated to (0, 0)
 
 
 CONTIGUOUS = "contiguous from 0 in first-occurrence order"
@@ -112,9 +114,13 @@ def test_edge_coloring_rejection_cases(as_input):
     assert all(type(lab) is int for lab in c.labels)
 
 
-def test_edge_coloring_converts_labels_like_int():
+def test_edge_coloring_converts_labels_like_index():
     c4 = cycle_graph(4)
-    assert EdgeColoring(c4, [0.0, 1.9, "2", True]).labels == (0, 1, 2, 1)
+    labels = EdgeColoring(c4, [0, np.int64(1), np.uint8(2), True]).labels
+    assert labels == (0, 1, 2, 1) and all(type(lab) is int for lab in labels)
+    for raw in ([0.0, 1, 2, 1], [0, 1.9, 2, 1], [0, 1, "2", 1], [0, 1, np.float64(2), 1]):
+        with pytest.raises(ValueError, match="must be integers"):
+            EdgeColoring(c4, raw)  # int() would truncate or parse these
     with pytest.raises(ValueError, match=CONTIGUOUS):
         EdgeColoring(c4, [0, 1, 2**70, 2])  # beyond int64, still just out of order
     with pytest.raises(ValueError, match=CONTIGUOUS):

@@ -21,6 +21,9 @@ def test_edge_list_written_form(tmp_path):
     path = tmp_path / "k3.txt"
     write_edge_list(complete_graph(3), path)
     assert path.read_text() == "3 3\n0 1\n0 2\n1 2\n"
+    write_edge_list(Graph(4), path)
+    assert path.read_text() == "4 0\n"
+    assert read_edge_list(path) == Graph(4)
 
 
 def test_edge_list_ignores_comments_and_blanks(tmp_path):

@@ -109,10 +109,22 @@ def test_constructor_rejects_bad_sizes():
 def test_from_pairs_normalizes():
     g = Graph.from_pairs(4, [(3, 1), (2, 0), (0, 1)])
     assert g.edges == ((0, 1), (0, 2), (1, 3))
-    with pytest.raises(ValueError):
+    assert Graph.from_pairs(4, np.array([[3, 1], [2, 0], [0, 1]])) == g
+    assert Graph.from_pairs(4, {(1, 3), (0, 2), (1, 0)}) == g
+    assert Graph.from_pairs(3, []) == Graph(3)
+    with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
         Graph.from_pairs(3, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"self-loop \(1, 1\)"):
         Graph.from_pairs(3, [(1, 1)])
+    with pytest.raises(ValueError, match="integers"):
+        Graph.from_pairs(3, [(0.5, 2), (1.9, 0)])  # not truncated to (0, 1), (0, 2)
+    with pytest.raises(ValueError):
+        Graph.from_pairs(3, [(0, 1, 2)])  # no third coordinate dropped
+    for bad in ([(0,)], [("0", "1")], [(2**70, 1)]):
+        with pytest.raises(ValueError):
+            Graph.from_pairs(3, bad)
+    with pytest.raises(ValueError):
+        Graph.from_pairs(3, [(0, 3)])
 
 
 def test_graph_accepts_numpy_edges_and_is_immutable():
@@ -140,6 +152,10 @@ def test_with_edge():
         g.with_edge(0, 1)
     with pytest.raises(ValueError):
         g.with_edge(1, 1)
+    with pytest.raises(ValueError):
+        g.with_edge(0, 3)
+    with pytest.raises(ValueError):
+        g.with_edge(0.5, 2)
 
 
 # ------------------------------------------------------------- named graphs
@@ -203,8 +219,39 @@ def test_queries_match_brute_force_sampled_n6():
         assert vertex_connectivity(g) == oracles.brute_vertex_connectivity(6, edges)
 
 
+def test_adjacency_rows_are_sorted_neighbour_lists_up_to_n5():
+    for n in range(1, 6):
+        for edges in oracles.all_edge_subsets(n):
+            g = Graph(n, edges)
+            adj = g._adjacency
+            assert adj is g._adjacency  # built once per graph
+            assert adj.shape == (n, n) and (adj.data == 1).all()
+            rows = np.split(adj.indices, adj.indptr[1:-1])
+            assert [r.tolist() for r in rows] == [sorted(a) for a in oracles.adjacency(n, edges)]
+
+
+def test_separating_pairs_match_brute_force_order():
+    cases = []
+    for n in range(3, 7):
+        for edges in oracles.all_edge_subsets(n):
+            if len(edges) < n * (n - 1) // 2 and oracles.brute_connected(n, edges):
+                cases.append(Graph(n, edges))
+    gnp64 = sample_gnp(64, 0.3, RngSeed(6))
+    cases += [gnp64, complement(gnp64)]
+    for g in cases:
+        s, t = graphs._separating_pairs(g)
+        pairs = list(zip(s.tolist(), t.tolist()))
+        assert pairs == oracles.brute_separating_pairs(g.n, list(g.edges)), g
+
+
+def test_complement_matches_brute_force_up_to_n5():
+    for n in range(1, 6):
+        for edges in oracles.all_edge_subsets(n):
+            assert complement(Graph(n, edges)).edges == tuple(oracles.brute_complement(n, edges))
+
+
 def test_far_pair_matches_brute_diameter_all_connected_up_to_n6():
-    for n in range(2, 7):
+    for n in range(1, 7):
         for edges in oracles.all_edge_subsets(n):
             if oracles.brute_connected(n, edges):
                 assert _has_far_pair(Graph(n, edges)) == (oracles.brute_diameter(n, edges) >= 3)
@@ -287,6 +334,15 @@ def test_connectivity_runs_esfahanian_hakimi_flows_on_one_network(monkeypatch):
     flows.clear()
     assert vertex_connectivity(g) == 12
     assert 0 < len(flows) < 100  # every non-adjacent pair would be 1,423 flows
+    # exactly the pairs with fewer than delta common neighbours take a flow
+    cases = [g] + [Graph(n, edges) for n in range(3, 6) for edges in oracles.all_edge_subsets(n)
+                   if len(edges) < n * (n - 1) // 2 and oracles.brute_connected(n, edges)]
+    for h in cases:
+        flows.clear()
+        vertex_connectivity(h)
+        adj = oracles.adjacency(h.n, h.edges)
+        pairs = oracles.brute_separating_pairs(h.n, list(h.edges))
+        assert len(flows) == sum(len(adj[s] & adj[t]) < min_degree(h) for s, t in pairs), h
 
 
 def test_chromatic_number_matches_brute_force():
@@ -392,6 +448,13 @@ def test_complement_cases():
     c5c = complement(cycle_graph(5))
     assert c5c.m == 5 and min_degree(c5c) == max_degree(c5c) == 2
     assert is_connected(c5c) and is_triangle_free(c5c)
+
+
+def test_complement_past_the_edge_limit_raises(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_EDGES", 6)
+    assert complement(path_graph(5)).m == 6
+    with pytest.raises(ValueError, match="complement edge count exceeds limit 6"):
+        complement(Graph(5, [(0, 1), (1, 2), (2, 3)]))  # 7 non-edges
 
 
 def test_union_find():

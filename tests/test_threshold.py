@@ -440,6 +440,19 @@ def test_estimate_transition_rejects_non_straddling_bracket():
         )
 
 
+def test_estimate_transition_seeds_one_sweep_row_per_evaluation(monkeypatch):
+    seeds = []
+
+    def recording_seed(master_seed, row_index, trial_index):
+        seeds.append((master_seed, row_index, trial_index))
+        return trial_seed(master_seed, row_index, trial_index)
+
+    monkeypatch.setattr(mclab.threshold, "trial_seed", recording_seed)
+    assert estimate_transition(NLOGN1, 300, 20, 0.3, master_seed=3) == (1.75, 2.0)  # pinned
+    rows = len(seeds) // 20
+    assert rows >= 3 and seeds == [(3, r, t) for r in range(rows) for t in range(20)]
+
+
 def test_estimate_transition_brackets_the_crossing():
     lo, hi = estimate_transition(NLOGN1, 300, 60, 0.5, master_seed=31415)
     assert 1.0 <= lo < hi <= 5.0
