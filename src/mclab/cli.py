@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,78 +79,10 @@ def build_spec(
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat sweep configuration; round-trips losslessly through text form."""
+    """A parsed sweep config file: the sweep to run and the CSV path it writes."""
 
-    family: str
-    n_list: tuple[int, ...]
-    master_seed: int
+    sweep: SweepConfig
     output: str
-    c: Optional[float] = None
-    alpha: Optional[float] = None
-    ell: Optional[float] = None
-    regime: Optional[str] = None
-    table: Optional[tuple[tuple[int, float], ...]] = None
-    multipliers: tuple[float, ...] = DEFAULT_MULTIPLIERS
-    trials: int = DEFAULT_TRIALS
-    allow_exact: bool = False
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-    workers: int = 1
-
-    def spec(self) -> ThresholdSpec:
-        return build_spec(
-            self.family,
-            c=self.c,
-            alpha=self.alpha,
-            ell=self.ell,
-            regime=self.regime,
-            table=dict(self.table) if self.table is not None else None,
-        )
-
-    def sweep_config(self, workers_override: Optional[int] = None) -> SweepConfig:
-        return SweepConfig(
-            spec=self.spec(),
-            n_list=self.n_list,
-            multiplier_list=self.multipliers,
-            trials=self.trials,
-            master_seed=self.master_seed,
-            allow_exact=self.allow_exact,
-            oracle_cap=self.oracle_cap,
-            workers=self.workers if workers_override is None else workers_override,
-        )
-
-    def to_text(self) -> str:
-        lines = [f"family = {self.family}"]
-        for key in ("c", "alpha", "ell"):
-            value = getattr(self, key)
-            if value is not None:
-                lines.append(f"{key} = {value!r}")
-        if self.regime is not None:
-            lines.append(f"regime = {self.regime}")
-        if self.table is not None:
-            lines.append("table = " + ",".join(f"{k}:{v!r}" for k, v in self.table))
-        lines.append("n = " + ",".join(str(n) for n in self.n_list))
-        lines.append("multipliers = " + ",".join(repr(x) for x in self.multipliers))
-        lines.append(f"trials = {self.trials}")
-        lines.append(f"master_seed = {self.master_seed}")
-        lines.append(f"allow_exact = {'true' if self.allow_exact else 'false'}")
-        lines.append(f"oracle_cap = {self.oracle_cap}")
-        lines.append(f"workers = {self.workers}")
-        lines.append(f"output = {self.output}")
-        return "\n".join(lines) + "\n"
-
-    def describe(self) -> dict:
-        """JSON-friendly echo for the sweep sidecar."""
-        return {
-            "spec": self.spec().describe(),
-            "n": list(self.n_list),
-            "multipliers": list(self.multipliers),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "allow_exact": self.allow_exact,
-            "oracle_cap": self.oracle_cap,
-            "workers": self.workers,
-            "output": self.output,
-        }
 
 
 def _parse_typed(key: str, raw: str, kind: str):
@@ -175,7 +106,7 @@ def _parse_typed(key: str, raw: str, kind: str):
             for tok in raw.split(","):
                 k, _, v = tok.partition(":")
                 out.append((int(k), float(v)))
-            return tuple(out)
+            return dict(out)
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from None
     return raw
@@ -219,16 +150,22 @@ def parse_config(text: str) -> ExperimentConfig:
     for required in ("family", "n", "master_seed", "output"):
         if required not in values:
             raise ConfigError(f"key {required!r}: required")
-    values["n_list"] = values.pop("n")
+    output = values.pop("output")
+    spec_keys = ("family", "c", "alpha", "ell", "regime", "table")
     try:
-        config = ExperimentConfig(**values)
-        config.spec()  # force field-level spec validation now, not at sweep time
-        config.sweep_config()
+        spec = build_spec(**{key: values.pop(key) for key in spec_keys if key in values})
+        config = SweepConfig(
+            spec=spec,
+            n_list=values.pop("n"),
+            multiplier_list=values.pop("multipliers", DEFAULT_MULTIPLIERS),
+            trials=values.pop("trials", DEFAULT_TRIALS),
+            **values,  # master_seed, allow_exact, oracle_cap, workers
+        )
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return config
+    return ExperimentConfig(sweep=config, output=output)
 
 
 def read_config(path: str | Path) -> ExperimentConfig:
@@ -276,18 +213,12 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = read_config(args.config)
-    env_workers = os.environ.get("MCLAB_WORKERS")
-    override = None
-    if env_workers is not None:
-        try:
-            override = int(env_workers)
-        except ValueError:
-            raise ConfigError(f"MCLAB_WORKERS: cannot parse {env_workers!r} as int") from None
-    report = sweep(config.sweep_config(workers_override=override))
+    report = sweep(config.sweep)
     out = Path(config.output)
     out.write_text(report.to_csv(), encoding="utf-8")
     sidecar = out.with_name(out.name + ".json")
-    sidecar.write_text(json.dumps(config.describe(), indent=2) + "\n", encoding="utf-8")
+    described = {**report.config.describe(), "output": config.output}
+    sidecar.write_text(json.dumps(described, indent=2) + "\n", encoding="utf-8")
     failed = report.failed_rows()
     print(f"wrote {len(report.rows) - len(failed)} rows to {out} (sidecar {sidecar})")
     for row in failed:
@@ -303,7 +234,7 @@ def cmd_threshold(args) -> int:
         alpha=args.alpha,
         ell=args.ell,
         regime=args.regime,
-        table=dict(_parse_typed("table", args.table, "table")) if args.table else None,
+        table=_parse_typed("table", args.table, "table") if args.table else None,
     )
     p = threshold_p(spec, args.n)
     print(f"n: {args.n}")

@@ -306,9 +306,7 @@ def _join(comp: list[int], cu: int, cv: int) -> int:
     return merged
 
 
-def _rgs_search(
-    edges: Sequence[EdgePair], n: int, best: int, top: int, prune: bool
-) -> int:
+def _rgs_search(edges: Sequence[EdgePair], n: int, best: int, top: int) -> int:
     """DFS over restricted-growth label strings; returns the max valid class count.
 
     Class j keeps, for each vertex, the bitmask of its component within the
@@ -317,11 +315,10 @@ def _rgs_search(
     a valid coloring iff, for every vertex, the OR of its masks over the used
     classes holds all n vertices.
 
-    With prune=True three cuts apply, none of which can lose the optimum:
+    Three cuts apply, none of which can lose the optimum:
 
     * prefixes that cannot beat `best` are skipped; `best` starts at a count
-      already achieved by a valid coloring (or at 1, the always-valid
-      single-class coloring);
+      already achieved by a valid coloring;
     * an edge is never labelled into an existing class whose components
       already join its ends. Moving such an edge to a class of its own keeps
       every pair covered and adds a color, so every class of an optimal
@@ -344,7 +341,7 @@ def _rgs_search(
     def walk(i: int, used: int) -> bool:
         """Extend the prefix of length i; True once `best` reaches `top`."""
         nonlocal best
-        if prune and used + (m - i) <= best:
+        if used + (m - i) <= best:
             return False
         if i == m:
             if used > best and valid(used):
@@ -356,8 +353,6 @@ def _rgs_search(
             cls = comp[lab]
             cu, cv = cls[u], cls[v]
             if cu == cv:  # already joined in this class
-                if not prune and walk(i + 1, grown):
-                    return True
                 continue
             merged = _join(cls, cu, cv)
             if walk(i + 1, grown):
@@ -373,7 +368,7 @@ def _rgs_search(
     return best
 
 
-def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP, prune: bool = True) -> int:
+def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Exact mc(G) by exhaustive partition search; 0 when disconnected.
 
     Enumeration runs over restricted-growth strings, i.e. set partitions of
@@ -382,11 +377,11 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP, prune: bool = True) 
     merge the search uses, so no component labelling runs; beyond it, a
     disconnected graph still returns 0 and a connected one raises.
 
-    With prune=True the search starts from m - n + 2, the color count of the
-    always-valid spanning-tree coloring, and stops at the upper bound
+    The search starts from m - n + 2, the color count of the always-valid
+    spanning-tree coloring, and stops at the upper bound
     min(m - n + delta + 1, C(n, 2)); when the two meet (delta = 1, say) no
-    search runs at all. Its cuts are lossless (see :func:`_rgs_search`), which
-    tests check against prune=False, the plain exhaustive enumeration.
+    search runs at all. Its cuts are lossless (see :func:`_rgs_search`); the
+    tests check it against an independent exhaustive partition oracle.
     """
     n, m = g.n, g.m
     if m > cap:
@@ -405,13 +400,11 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP, prune: bool = True) 
             _join(comp, comp[u], comp[v])
     if comp[0] != (1 << n) - 1:
         return 0
-    if not prune:
-        return _rgs_search(edges, n, 1, m + 1, False)  # m + 1 colors: no early stop
     seed = m - n + 2
     top = min(m - n + min(degree) + 1, n * (n - 1) // 2)
     if seed == top:
         return seed
-    return _rgs_search(edges, n, seed, top, True)
+    return _rgs_search(edges, n, seed, top)
 
 
 def analyze(

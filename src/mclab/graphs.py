@@ -72,7 +72,7 @@ class Graph:
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} exceeds limit {MAX_VERTICES}")
         arr = np.asarray(edges)
-        if arr.size == 0:
+        if arr.shape in ((0,), (0, 2)):  # edgeless whatever the dtype: [] is float
             arr = np.empty((0, 2), dtype=np.int64)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be a sequence of (u, v) pairs")

@@ -305,6 +305,19 @@ class SweepConfig:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
+    def describe(self) -> dict:
+        """JSON-friendly echo for the sweep sidecar, in the sidecar's key order."""
+        return {
+            "spec": self.spec.describe(),
+            "n": list(self.n_list),
+            "multipliers": list(self.multiplier_list),
+            "trials": self.trials,
+            "master_seed": self.master_seed,
+            "allow_exact": self.allow_exact,
+            "oracle_cap": self.oracle_cap,
+            "workers": self.workers,
+        }
+
 
 @dataclass(frozen=True)
 class SweepRow:

@@ -8,6 +8,7 @@ the console script; and through the installed ``mclab`` script itself, a test
 that runs only where that script is on ``PATH``.
 """
 
+import dataclasses
 import importlib
 import json
 import os
@@ -23,6 +24,7 @@ import mclab.sampling
 from mclab.cli import ExperimentConfig, parse_config, run
 from mclab.files import read_edge_list, write_edge_list
 from mclab.graphs import cycle_graph
+from mclab.threshold import SweepConfig, ThresholdSpec, sweep
 
 
 def write_graph(path, text):
@@ -253,8 +255,25 @@ SWEEP_CFG = (
     "master_seed = 9\n"
 )
 
+CUSTOM_CFG = (
+    "# comment lines and blanks are ignored\n\n"
+    "family = custom\n"
+    "regime = dense\n"
+    "ell = 0.5\n"
+    "table = 100:50.0,200:120.5\n"
+    "n = 100,200\n"
+    "multipliers = 0.5,1,2,5\n"
+    "trials = 7\n"
+    "master_seed = 3\n"
+    "allow_exact = true\n"
+    "oracle_cap = 10\n"
+    "workers = 2\n"
+    "output = out.csv\n"
+)
+
 
 def sweep_config_file(tmp_path, extra=""):
+    tmp_path.mkdir(exist_ok=True)
     out = tmp_path / "out.csv"
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG + f"output = {out}\n" + extra)
@@ -281,13 +300,46 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_sweep_workers_env_does_not_change_bytes(tmp_path, monkeypatch):
-    cfg, out = sweep_config_file(tmp_path)
-    run(["sweep", str(cfg)])
-    serial = out.read_bytes()
-    monkeypatch.setenv("MCLAB_WORKERS", "2")
-    run(["sweep", str(cfg)])
-    assert out.read_bytes() == serial
+def test_sweep_workers_do_not_change_bytes(tmp_path):
+    serial_cfg, serial_out = sweep_config_file(tmp_path / "serial", extra="workers = 1\n")
+    pooled_cfg, pooled_out = sweep_config_file(tmp_path / "pooled", extra="workers = 2\n")
+    assert run(["sweep", str(serial_cfg)]) == 0
+    assert run(["sweep", str(pooled_cfg)]) == 0
+    assert pooled_out.read_bytes() == serial_out.read_bytes()
+
+
+def test_sidecar_describes_the_sweep_that_ran(tmp_path, monkeypatch):
+    ran = []
+
+    def recording_sweep(config):
+        ran.append(config)
+        return sweep(config)
+
+    monkeypatch.setattr(mclab.cli, "sweep", recording_sweep)
+    cfg, out = sweep_config_file(tmp_path, extra="workers = 2\n")
+    assert run(["sweep", str(cfg)]) == 0
+    [config] = ran
+    assert config == parse_config(cfg.read_text()).sweep
+    assert config.workers == 2
+    sidecar = json.loads((tmp_path / "out.csv.json").read_text())
+    assert sidecar == {**config.describe(), "output": str(out)}
+
+
+def test_sidecar_text_is_pinned(tmp_path):
+    out = tmp_path / "out.csv"
+    cfg = tmp_path / "custom.cfg"
+    cfg.write_text(CUSTOM_CFG.replace("output = out.csv", f"output = {out}"))
+    assert run(["sweep", str(cfg)]) == 0
+    expected = (
+        '{\n  "spec": {\n    "family": "CUSTOM",\n    "regime": "DENSE",\n'
+        '    "ell": 0.5,\n    "table": {\n      "100": 50.0,\n      "200": 120.5\n'
+        '    }\n  },\n  "n": [\n    100,\n    200\n  ],\n'
+        '  "multipliers": [\n    0.5,\n    1.0,\n    2.0,\n    5.0\n  ],\n'
+        '  "trials": 7,\n  "master_seed": 3,\n  "allow_exact": true,\n'
+        '  "oracle_cap": 10,\n  "workers": 2,\n'
+        f'  "output": {json.dumps(str(out))}\n}}\n'
+    )
+    assert (tmp_path / "out.csv.json").read_text() == expected
 
 
 def test_sweep_bad_value_names_the_key(tmp_path, capsys):
@@ -324,35 +376,61 @@ def test_sweep_missing_config_file_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------- config
 
 
-def test_config_round_trips_losslessly():
-    text = (
-        "# comment lines and blanks are ignored\n\n"
-        "family = custom\n"
-        "regime = dense\n"
-        "ell = 0.5\n"
-        "table = 100:50.0,200:120.5\n"
-        "n = 100,200\n"
-        "multipliers = 0.5,1,2,5\n"
-        "trials = 7\n"
-        "master_seed = 3\n"
-        "allow_exact = true\n"
-        "oracle_cap = 10\n"
-        "workers = 2\n"
-        "output = out.csv\n"
+
+def test_config_keeps_every_value():
+    assert parse_config(CUSTOM_CFG) == ExperimentConfig(
+        sweep=SweepConfig(
+            spec=ThresholdSpec.custom({100: 50.0, 200: 120.5}, "DENSE", ell=0.5),
+            n_list=(100, 200),
+            multiplier_list=(0.5, 1.0, 2.0, 5.0),
+            trials=7,
+            master_seed=3,
+            allow_exact=True,
+            oracle_cap=10,
+            workers=2,
+        ),
+        output="out.csv",
     )
-    config = parse_config(text)
-    assert parse_config(config.to_text()) == config
+    assert parse_config(CUSTOM_CFG).sweep.allow_exact is True
 
 
 def test_config_documented_defaults():
     config = parse_config(
         "family = nlogn\nell = 1\nn = 2000\nmaster_seed = 42\noutput = o.csv\n"
     )
-    assert config.trials == 200
-    assert config.multipliers == (0.5, 1.0, 2.0, 5.0)
-    assert config.allow_exact is False
-    assert config.oracle_cap == 12
-    assert config.workers == 1
+    assert config == ExperimentConfig(
+        sweep=SweepConfig(
+            spec=ThresholdSpec.nlogn(1.0),
+            n_list=(2000,),
+            multiplier_list=(0.5, 1.0, 2.0, 5.0),
+            trials=200,
+            master_seed=42,
+            allow_exact=False,
+            oracle_cap=12,
+            workers=1,
+        ),
+        output="o.csv",
+    )
+    assert config.sweep.allow_exact is False
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("Sweep config:"):]
+    block = section.split("```")[1]
+    assert parse_config(block) == ExperimentConfig(
+        sweep=SweepConfig(
+            spec=ThresholdSpec.nlogn(1.0),
+            n_list=(1000, 2000),
+            multiplier_list=(0.5, 1.0, 2.0, 5.0),
+            trials=200,
+            master_seed=42,
+            allow_exact=False,
+            oracle_cap=12,
+            workers=1,
+        ),
+        output="report.csv",
+    )
 
 
 def test_config_spec_errors_surface_at_parse_time():
@@ -361,11 +439,16 @@ def test_config_spec_errors_surface_at_parse_time():
 
 
 def test_config_is_a_plain_dataclass_value():
-    a = ExperimentConfig(family="nlogn", ell=1.0, n_list=(100,), master_seed=1,
-                         output="o.csv")
-    b = ExperimentConfig(family="nlogn", ell=1.0, n_list=(100,), master_seed=1,
-                         output="o.csv")
-    assert a == b and a.spec() == b.spec()
+    def build():
+        sweep_config = SweepConfig(spec=ThresholdSpec.nlogn(1.0), n_list=(100,),
+                                   multiplier_list=(0.5, 1.0, 2.0, 5.0), trials=200,
+                                   master_seed=1)
+        return ExperimentConfig(sweep=sweep_config, output="o.csv")
+
+    a, b = build(), build()
+    assert a == b and a.sweep.spec == b.sweep.spec
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == ["sweep", "output"]
+    assert parse_config("family = nlogn\nell = 1\nn = 100\nmaster_seed = 1\noutput = o.csv\n") == a
 
 
 # ------------------------------------------------------------ entry point

@@ -545,28 +545,6 @@ def test_exact_mc_matches_independent_oracle():
             assert exact_mc_small(Graph(5, edges)) == oracles.oracle_mc(5, edges)
 
 
-def test_pruned_and_unpruned_agree():
-    for n in (2, 3, 4):
-        for edges in connected_edge_subsets(n):
-            g = Graph(n, edges)
-            assert exact_mc_small(g, prune=False) == exact_mc_small(g)
-    rng = np.random.default_rng(77007)
-    pairs = oracles.all_pairs(5)
-    done = 0
-    while done < 30:
-        density = rng.uniform(0.5, 0.95)
-        edges = [p for p in pairs if rng.random() < density]
-        if not oracles.brute_connected(5, edges) or not 7 <= len(edges) <= 8:
-            continue
-        g = Graph(5, edges)
-        assert exact_mc_small(g, prune=False) == exact_mc_small(g)
-        done += 1
-    for edges in connected_edge_subsets(5):
-        if len(edges) <= 8:
-            g = Graph(5, edges)
-            assert exact_mc_small(g, prune=False) == exact_mc_small(g)
-
-
 def counting_component_labels(monkeypatch):
     """Route every component labelling through a counter keyed by the edge arrays."""
     calls = Counter()

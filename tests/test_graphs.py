@@ -106,6 +106,17 @@ def test_constructor_rejects_bad_sizes():
         Graph(3, [(0.0, 1.5)])
 
 
+def test_only_empty_pair_shapes_are_edgeless():
+    for edges in ((), [], np.empty((0, 2), dtype=np.int64), np.empty((0, 2)), np.asarray([])):
+        g = Graph(3, edges)
+        assert g.m == 0 and g.edge_array.shape == (0, 2) and g.edge_array.dtype == np.int64
+    for edges in ([()], [[]], np.zeros((0, 5), dtype=int), np.zeros((2, 0), dtype=int)):
+        with pytest.raises(ValueError, match=r"edges must be a sequence of \(u, v\) pairs"):
+            Graph(3, edges)
+    with pytest.raises(ValueError, match=r"edges must be a sequence of \(u, v\) pairs"):
+        Graph.from_pairs(3, [()])
+
+
 def test_from_pairs_normalizes():
     g = Graph.from_pairs(4, [(3, 1), (2, 0), (0, 1)])
     assert g.edges == ((0, 1), (0, 2), (1, 3))
