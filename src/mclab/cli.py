@@ -46,6 +46,15 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
+# the fields each family reads; build_spec rejects the others
+_FAMILY_KEYS = {
+    "constant": {"c"},
+    "power": {"alpha"},
+    "nlogn": {"ell"},
+    "custom": {"table", "regime", "ell"},
+}
+
+
 def build_spec(
     family: Optional[str],
     c: Optional[float] = None,
@@ -54,10 +63,19 @@ def build_spec(
     regime: Optional[str] = None,
     table: Optional[dict] = None,
 ) -> ThresholdSpec:
-    """Assemble a ThresholdSpec from flat fields, naming the field on errors."""
+    """Assemble a ThresholdSpec from flat fields, naming the field on errors.
+
+    A field the family never reads is an error, not dropped.
+    """
     if family is None:
         raise ConfigError("key 'family': required (constant | power | nlogn | custom)")
     family = family.lower()
+    if family not in _FAMILY_KEYS:
+        raise ConfigError(f"key 'family': unknown family {family!r}")
+    given = (("c", c), ("alpha", alpha), ("ell", ell), ("regime", regime), ("table", table))
+    for key, value in given:
+        if value is not None and key not in _FAMILY_KEYS[family]:
+            raise ConfigError(f"key {key!r}: not used by the {family} family")
     if family == "constant":
         if c is None:
             raise ConfigError("key 'c': required for the constant family")
@@ -68,13 +86,11 @@ def build_spec(
         return ThresholdSpec.power(alpha)
     if family == "nlogn":
         return ThresholdSpec.nlogn(1.0 if ell is None else ell)
-    if family == "custom":
-        if table is None:
-            raise ConfigError("key 'table': required for the custom family")
-        if regime is None:
-            raise ConfigError("key 'regime': required for the custom family")
-        return ThresholdSpec.custom(table, regime.upper(), ell=ell)
-    raise ConfigError(f"key 'family': unknown family {family!r}")
+    if table is None:
+        raise ConfigError("key 'table': required for the custom family")
+    if regime is None:
+        raise ConfigError("key 'regime': required for the custom family")
+    return ThresholdSpec.custom(table, regime.upper(), ell=ell)
 
 
 @dataclass(frozen=True)
@@ -102,11 +118,16 @@ def _parse_typed(key: str, raw: str, kind: str):
         if kind == "float_list":
             return tuple(float(tok) for tok in raw.split(","))
         if kind == "table":
-            out = []
+            table: dict = {}
             for tok in raw.split(","):
                 k, _, v = tok.partition(":")
-                out.append((int(k), float(v)))
-            return dict(out)
+                n = int(k)
+                if n in table:
+                    raise ConfigError(f"key {key!r}: repeated n {n}")
+                table[n] = float(v)
+            return table
+    except ConfigError:
+        raise
     except ValueError:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from None
     return raw

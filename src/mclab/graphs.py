@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -432,27 +432,32 @@ def _separating_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((np.full(far.shape[0], v), nbrs[x])), np.concatenate((far, nbrs[y]))
 
 
-def _pair_connectivities(g: Graph, cap: int) -> Iterator[int]:
-    """min(local vertex connectivity, cap) of each pair from :func:`_separating_pairs`.
+def _least_pair_connectivity(g: Graph, cap: int, stop: int) -> int:
+    """min(cap, least local vertex connectivity over :func:`_separating_pairs`).
 
-    A pair with at least ``cap`` common neighbours has that many disjoint
-    paths of length 2 and needs no flow. One sparse product, A times the dense
-    rows of the pairs' first vertices (at most delta + 1 of them, so at most
-    2m + n entries), counts them. The other pairs each take a maximum flow on
-    one split network, built at the first of them.
+    Each pair is capped at the running minimum: a pair with at least that
+    many common neighbours has that many disjoint paths of length 2 and needs
+    no flow. One sparse product, A times the dense rows of the pairs' first
+    vertices (at most delta + 1 of them, so at most 2m + n entries), counts
+    them. The other pairs each take a maximum flow on one split network,
+    built at the first of them. Returns as soon as the minimum reaches
+    ``stop``.
     """
     s, t = _separating_pairs(g)
     adj = g._adjacency
     firsts, column = np.unique(s, return_inverse=True)
     common = (adj @ adj[firsts].toarray().T)[t, column]
+    least = cap
     net = None
     for u, w, shared in zip(s.tolist(), t.tolist(), common.tolist()):
-        if shared >= cap:
-            yield cap
+        if least <= stop:
+            break
+        if shared >= least:
             continue
         if net is None:
             net = _split_network(g)
-        yield min(cap, int(maximum_flow(net, 2 * u + 1, 2 * w).flow_value))
+        least = min(least, int(maximum_flow(net, 2 * u + 1, 2 * w).flow_value))
+    return least
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -460,15 +465,14 @@ def vertex_connectivity(g: Graph) -> int:
     with the complete-graph convention n - 1; 0 for disconnected graphs.
 
     Runs at most (n - 1 - delta) + delta(delta - 1)/2 maximum flows (see
-    :func:`_separating_pairs`).
+    :func:`_separating_pairs`), and stops once the minimum reaches 1.
     """
     n = g.n
     if n == 1 or not is_connected(g):
         return 0
     if g.is_complete():
         return n - 1
-    delta = min_degree(g)
-    return min(delta, *_pair_connectivities(g, delta))
+    return _least_pair_connectivity(g, min_degree(g), 1)
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -485,7 +489,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return True
     if not is_connected(g) or min_degree(g) < k:
         return False
-    return all(local == k for local in _pair_connectivities(g, k))
+    return _least_pair_connectivity(g, k, k - 1) == k
 
 
 def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> int:

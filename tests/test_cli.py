@@ -438,6 +438,37 @@ def test_config_spec_errors_surface_at_parse_time():
         parse_config("family = power\nalpha = 2\nn = 100\nmaster_seed = 1\noutput = o\n")
 
 
+def test_config_table_rejects_a_repeated_n(tmp_path, capsys):
+    cfg = tmp_path / "repeat.cfg"
+    cfg.write_text(CUSTOM_CFG.replace("200:120.5", "100:60"))
+    assert run(["sweep", str(cfg)]) == 2
+    assert "key 'table': repeated n 100" in capsys.readouterr().err
+    rc = run(["threshold", "--family", "custom", "--regime", "sparse",
+              "--table", "100:5,100:60", "--n", "100"])
+    assert rc == 2
+    assert "key 'table': repeated n 100" in capsys.readouterr().err
+
+
+SPEC_VALUES = {"c": "2", "alpha": "0.5", "ell": "3", "regime": "dense", "table": "100:5"}
+
+
+@pytest.mark.parametrize("family, needs, unused", [
+    ("constant", "c = 2\n", ("alpha", "ell", "regime", "table")),
+    ("power", "alpha = 0.5\n", ("c", "ell", "regime", "table")),
+    ("nlogn", "", ("c", "alpha", "regime", "table")),
+    ("custom", "regime = sparse\ntable = 100:5\n", ("c", "alpha")),
+], ids=["constant", "power", "nlogn", "custom"])
+def test_config_rejects_keys_the_family_never_reads(tmp_path, capsys, family, needs, unused):
+    base = f"family = {family}\n{needs}n = 100\nmaster_seed = 1\noutput = {tmp_path / 'o.csv'}\n"
+    parse_config(base)
+    for key in unused:
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{base}{key} = {SPEC_VALUES[key]}\n")
+        assert run(["sweep", str(cfg)]) == 2
+        assert f"key {key!r}: not used by the {family} family" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_config_is_a_plain_dataclass_value():
     def build():
         sweep_config = SweepConfig(spec=ThresholdSpec.nlogn(1.0), n_list=(100,),

@@ -541,8 +541,21 @@ def test_exact_mc_matches_independent_oracle():
         assert exact_mc_small(g) == oracles.oracle_mc(6, list(g.edges))
         done += 1
     for edges in connected_edge_subsets(5):
-        if len(edges) <= 8:
-            assert exact_mc_small(Graph(5, edges)) == oracles.oracle_mc(5, edges)
+        assert exact_mc_small(Graph(5, edges)) == oracles.oracle_mc(5, edges)
+
+
+def test_exact_mc_closed_forms():
+    # C_n: mc = 2 for every n >= 4; C_12 sits at the default cap
+    for n in range(4, 13):
+        assert exact_mc_small(cycle_graph(n)) == 2
+    # K_n - e: delta = n - 2 caps mc at m - 1, and one 2-edge path through a
+    # third vertex, covering the one non-edge, reaches it
+    for n in range(4, 8):
+        edges = [e for e in complete_graph(n).edges if e != (0, n - 1)]
+        expected = n * (n - 1) // 2 - 2
+        assert exact_mc_small(Graph(n, edges), cap=len(edges)) == expected
+        if n <= 5:
+            assert oracles.oracle_mc(n, edges) == expected
 
 
 def counting_component_labels(monkeypatch):
@@ -576,9 +589,9 @@ def test_exact_mc_within_cap_labels_no_components(monkeypatch):
 
 def test_exact_mc_runs_no_search_at_min_degree_one(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the partition search ran")
+        raise AssertionError("the tree-cover search ran")
 
-    monkeypatch.setattr(mclab.coloring, "_rgs_search", refuse)
+    monkeypatch.setattr(mclab.coloring, "_tree_cover_search", refuse)
     checked = 0
     for n in range(2, 6):
         for edges in connected_edge_subsets(n):

@@ -324,8 +324,9 @@ def test_connectivity_runs_esfahanian_hakimi_flows_on_one_network(monkeypatch):
     real_flow, real_build = graphs.maximum_flow, graphs._split_network
 
     def counting_flow(net, source, sink):
-        flows.append((source, sink))
-        return real_flow(net, source, sink)
+        result = real_flow(net, source, sink)
+        flows.append(((source, sink), result.flow_value))
+        return result
 
     def counting_build(g):
         builds.append(g)
@@ -345,15 +346,32 @@ def test_connectivity_runs_esfahanian_hakimi_flows_on_one_network(monkeypatch):
     flows.clear()
     assert vertex_connectivity(g) == 12
     assert 0 < len(flows) < 100  # every non-adjacent pair would be 1,423 flows
-    # exactly the pairs with fewer than delta common neighbours take a flow
-    cases = [g] + [Graph(n, edges) for n in range(3, 6) for edges in oracles.all_edge_subsets(n)
-                   if len(edges) < n * (n - 1) // 2 and oracles.brute_connected(n, edges)]
+    # exactly the pairs with fewer common neighbours than the running minimum
+    # (delta at first) take a flow, until that minimum reaches 1
+    cases = [g, two_cliques_sharing(6, 2)] + [
+        Graph(n, edges) for n in range(3, 6) for edges in oracles.all_edge_subsets(n)
+        if len(edges) < n * (n - 1) // 2 and oracles.brute_connected(n, edges)]
     for h in cases:
         flows.clear()
         vertex_connectivity(h)
+        got = dict(flows)
         adj = oracles.adjacency(h.n, h.edges)
-        pairs = oracles.brute_separating_pairs(h.n, list(h.edges))
-        assert len(flows) == sum(len(adj[s] & adj[t]) < min_degree(h) for s, t in pairs), h
+        least, expected = min_degree(h), []
+        for s, t in oracles.brute_separating_pairs(h.n, list(h.edges)):
+            if least <= 1:
+                break
+            if len(adj[s] & adj[t]) < least:
+                expected.append((2 * s + 1, 2 * t))
+                least = min(least, got.get((2 * s + 1, 2 * t), least))
+        assert [pair for pair, _ in flows] == expected, h
+
+
+def two_cliques_sharing(size, shared):
+    """K_size on 0..size-1 and on size-shared..2*size-shared-1, sharing ``shared`` vertices."""
+    lo = size - shared
+    return Graph(2 * size - shared, sorted({
+        (u + base, v + base) for base in (0, lo) for u in range(size) for v in range(u + 1, size)
+    }))
 
 
 def test_chromatic_number_matches_brute_force():
@@ -451,6 +469,11 @@ def test_vertex_connectivity_named_cases():
     assert vertex_connectivity(petersen_graph()) == 3
     assert vertex_connectivity(Graph(1)) == 0
     assert vertex_connectivity(Graph(4, [(0, 1), (2, 3)])) == 0
+    # two K6 sharing two vertices: kappa = 2 below delta = 5
+    two_k6 = two_cliques_sharing(6, 2)
+    assert min_degree(two_k6) == 5
+    assert vertex_connectivity(two_k6) == 2 == oracles.brute_vertex_connectivity(
+        two_k6.n, list(two_k6.edges))
 
 
 def test_complement_cases():
