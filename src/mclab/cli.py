@@ -107,12 +107,6 @@ def _parse_typed(key: str, raw: str, kind: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError
         if kind == "int_list":
             return tuple(int(tok) for tok in raw.split(","))
         if kind == "float_list":
@@ -144,7 +138,6 @@ _CONFIG_KEYS = {
     "multipliers": "float_list",
     "trials": "int",
     "master_seed": "int",
-    "allow_exact": "bool",
     "oracle_cap": "int",
     "workers": "int",
     "output": "str",
@@ -180,7 +173,7 @@ def parse_config(text: str) -> ExperimentConfig:
             n_list=values.pop("n"),
             multiplier_list=values.pop("multipliers", DEFAULT_MULTIPLIERS),
             trials=values.pop("trials", DEFAULT_TRIALS),
-            **values,  # master_seed, allow_exact, oracle_cap, workers
+            **values,  # master_seed, oracle_cap, workers
         )
     except ConfigError:
         raise

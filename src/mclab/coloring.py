@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -114,14 +113,6 @@ class EdgeColoring:
                 mapping[lab] = len(mapping)
             canon.append(mapping[lab])
         return cls(graph, canon)
-
-    @cached_property
-    def classes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Edges grouped by label, index j holding color class j."""
-        buckets: list[list[tuple[int, int]]] = [[] for _ in range(self.num_colors)]
-        for edge, lab in zip(self.graph.edges, self.labels):
-            buckets[lab].append(edge)
-        return tuple(tuple(b) for b in buckets)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):

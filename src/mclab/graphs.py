@@ -34,27 +34,6 @@ DEFAULT_CHI_CAP = 16  # exact chromatic number is exponential in n
 EdgePair = tuple[int, int]
 
 
-def pair_index(u: int, v: int, n: int) -> int:
-    """Rank of the pair (u, v), u < v, in the canonical lexicographic order."""
-    if not (0 <= u < v < n):
-        raise ValueError(f"({u}, {v}) is not a canonical vertex pair for n={n}")
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
-
-
-def pair_at(index: int, n: int) -> EdgePair:
-    """Inverse of :func:`pair_index`; exact integer arithmetic."""
-    total = n * (n - 1) // 2
-    if not (0 <= index < total):
-        raise ValueError(f"pair index {index} out of range for n={n}")
-    tn = 2 * n - 1
-    u = (tn - math.isqrt(tn * tn - 8 * index)) // 2
-    base = u * n - u * (u + 1) // 2
-    if base > index:
-        u -= 1
-        base = u * n - u * (u + 1) // 2
-    return u, index - base + u + 1
-
-
 class Graph:
     """Simple undirected graph in canonical form.
 
@@ -164,10 +143,6 @@ class Graph:
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -203,27 +178,6 @@ def component_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[int,
 def is_connected(g: Graph) -> bool:
     """Whether g is connected; labelled once per ``Graph`` and memoised."""
     return g._connected
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Partition of the vertex set; components ordered by smallest member."""
-    count, labels = component_labels(g.n, *g.edge_array.T)
-    if count == 1:
-        return [list(range(g.n))]
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=count)
-    comps: list[list[int]] = []
-    start = 0
-    for size in sizes.tolist():
-        comps.append(order[start : start + size].tolist())
-        start += size
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
-def degree(g: Graph, v: int) -> int:
-    g._check_vertex(v)
-    return int(g.degrees[v])
 
 
 def min_degree(g: Graph) -> int:

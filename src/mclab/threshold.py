@@ -3,7 +3,8 @@
 The decision procedure for one sampled graph mirrors the two closed-form
 bounds: a disconnected sample is an immediate NO; an edge count with
 m - n + 2 >= f certifies YES; m - n + delta + 1 < f certifies NO; anything
-else is UNKNOWN (optionally settled exactly when the graph is tiny). Sweeps
+else is UNKNOWN, unless the sample has at most ``oracle_cap`` edges and the
+exact oracle settles it (the default cap 0 never runs it). Sweeps
 tally YES/NO/UNKNOWN per (n, multiplier) cell with one RNG stream per trial,
 so reports are reproducible byte for byte and schedule-independent.
 
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import graphs
-from .coloring import DEFAULT_ORACLE_CAP, exact_mc_small
+from .coloring import exact_mc_small
 from .errors import UnsupportedSpecError
 from .graphs import Graph
 from .sampling import RngSeed, _decode_rows, _draw
@@ -195,7 +196,6 @@ def _decide(
     indptr: np.ndarray,
     tails: np.ndarray,
     f_value: int,
-    allow_exact: bool,
     oracle_cap: int,
 ) -> TrialOutcome:
     """The decision ladder on the CSR edges: vertex u is joined to
@@ -204,7 +204,8 @@ def _decide(
 
     Components are labelled at most once, and not at all when a vertex is
     isolated or m < n - 1; a :class:`Graph` is built only when the exact
-    oracle runs.
+    oracle runs: the bounds leave a gap and m <= ``oracle_cap``. A sample
+    that gets that far is connected on n >= 2 vertices, so cap 0 never runs it.
     """
     m = len(tails)
     delta = int((np.diff(indptr) + np.bincount(tails, minlength=n)).min())
@@ -218,7 +219,7 @@ def _decide(
     upper = m - n + delta + 1
     if upper < f_value:
         return TrialOutcome(True, m, delta, NO, UPPER_BOUND)
-    if allow_exact and m <= oracle_cap:
+    if m <= oracle_cap:
         heads = np.repeat(np.arange(n), np.diff(indptr))
         exact = exact_mc_small(Graph(n, np.column_stack([heads, tails])), cap=oracle_cap)
         decision = YES if exact >= f_value else NO
@@ -229,21 +230,22 @@ def _decide(
 def decide_mc_at_least(
     g: Graph,
     f_value: int,
-    allow_exact: bool = False,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
+    *,
+    oracle_cap: int = 0,
 ) -> TrialOutcome:
     """Decide mc(g) >= f_value using the certified bounds, never guessing.
 
     YES requires the spanning-tree lower bound (or the exact oracle) to reach
     f; NO requires disconnection or the min-degree upper bound (or the oracle)
-    to fall short of it. Components are labelled at most once, and not at
+    to fall short of it. The oracle runs only when m <= ``oracle_cap``, so
+    never at the default 0. Components are labelled at most once, and not at
     all when a vertex is isolated or m < n - 1.
     """
     if f_value < 1:
         raise ValueError("f_value must be at least 1")
     heads, tails = g.edge_array.T
     indptr = np.searchsorted(heads, np.arange(g.n + 1))
-    return _decide(g.n, indptr, tails, f_value, allow_exact, oracle_cap)
+    return _decide(g.n, indptr, tails, f_value, oracle_cap)
 
 
 def run_trial(
@@ -251,18 +253,19 @@ def run_trial(
     p: float,
     spec: ThresholdSpec,
     seed: RngSeed,
-    allow_exact: bool = False,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
+    *,
+    oracle_cap: int = 0,
 ) -> TrialOutcome:
     """Sample one graph and decide mc >= ceil(f(n)); deterministic per seed.
 
     The outcome equals ``decide_mc_at_least(sample_gnp(n, p, seed), ...)``,
     but the trial carries one CSR, ``(indptr, tails)``, from the decoded pair
     ranks to m, the degrees and the components: a :class:`Graph` is built
-    only when the exact oracle runs (``allow_exact`` and m <= ``oracle_cap``).
+    only when the exact oracle runs (m <= ``oracle_cap``; the default 0
+    never runs it).
     """
     f_value = math.ceil(spec.f_value(n))
-    return _decide(n, *_decode_rows(_draw(n, p, seed), n), f_value, allow_exact, oracle_cap)
+    return _decide(n, *_decode_rows(_draw(n, p, seed), n), f_value, oracle_cap)
 
 
 def trial_seed(master_seed: int, row_index: int, trial_index: int) -> RngSeed:
@@ -281,8 +284,7 @@ class SweepConfig:
     multiplier_list: tuple[float, ...]
     trials: int
     master_seed: int
-    allow_exact: bool = False
-    oracle_cap: int = DEFAULT_ORACLE_CAP
+    oracle_cap: int = 0  # largest m the exact oracle settles; 0 never runs it
     workers: int = 1
 
     def __post_init__(self):
@@ -302,6 +304,8 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
         if not (0 <= self.master_seed < 1 << 64):
             raise ValueError("master_seed must fit in 64 unsigned bits")
+        if self.oracle_cap < 0:
+            raise ValueError("oracle_cap must be at least 0")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -313,7 +317,6 @@ class SweepConfig:
             "multipliers": list(self.multiplier_list),
             "trials": self.trials,
             "master_seed": self.master_seed,
-            "allow_exact": self.allow_exact,
             "oracle_cap": self.oracle_cap,
             "workers": self.workers,
         }
@@ -378,7 +381,6 @@ def _trial_batch(args) -> tuple[int, int, int]:
             p,
             config.spec,
             trial_seed(config.master_seed, row_index, t),
-            allow_exact=config.allow_exact,
             oracle_cap=config.oracle_cap,
         )
         if outcome.decision == YES:

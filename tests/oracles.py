@@ -19,6 +19,29 @@ def all_pairs(n):
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def pair_at(index, n):
+    """The pair (u, v), u < v, of lexicographic rank `index` among the pairs of
+    0..n-1: the row u is the root of a quadratic, taken by exact isqrt."""
+    total = n * (n - 1) // 2
+    if not (0 <= index < total):
+        raise ValueError(f"pair index {index} out of range for n={n}")
+    tn = 2 * n - 1
+    u = (tn - math.isqrt(tn * tn - 8 * index)) // 2
+    base = u * n - u * (u + 1) // 2
+    if base > index:
+        u -= 1
+        base = u * n - u * (u + 1) // 2
+    return u, index - base + u + 1
+
+
+def edge_classes(edges, labels):
+    """Edges grouped by color label 0..k-1, one edge list per color."""
+    classes = [[] for _ in range(max(labels, default=-1) + 1)]
+    for edge, label in zip(edges, labels):
+        classes[label].append(edge)
+    return classes
+
+
 def all_edge_subsets(n):
     """Every labeled graph on n vertices, as an edge list."""
     pairs = all_pairs(n)

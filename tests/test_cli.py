@@ -265,7 +265,6 @@ CUSTOM_CFG = (
     "multipliers = 0.5,1,2,5\n"
     "trials = 7\n"
     "master_seed = 3\n"
-    "allow_exact = true\n"
     "oracle_cap = 10\n"
     "workers = 2\n"
     "output = out.csv\n"
@@ -335,8 +334,8 @@ def test_sidecar_text_is_pinned(tmp_path):
         '    "ell": 0.5,\n    "table": {\n      "100": 50.0,\n      "200": 120.5\n'
         '    }\n  },\n  "n": [\n    100,\n    200\n  ],\n'
         '  "multipliers": [\n    0.5,\n    1.0,\n    2.0,\n    5.0\n  ],\n'
-        '  "trials": 7,\n  "master_seed": 3,\n  "allow_exact": true,\n'
-        '  "oracle_cap": 10,\n  "workers": 2,\n'
+        '  "trials": 7,\n  "master_seed": 3,\n  "oracle_cap": 10,\n'
+        '  "workers": 2,\n'
         f'  "output": {json.dumps(str(out))}\n}}\n'
     )
     assert (tmp_path / "out.csv.json").read_text() == expected
@@ -347,6 +346,10 @@ def test_sweep_bad_value_names_the_key(tmp_path, capsys):
     cfg.write_text(SWEEP_CFG.replace("trials = 5", "trials = many") + "output = o.csv\n")
     assert run(["sweep", str(cfg)]) == 2
     assert "'trials'" in capsys.readouterr().err
+    cfg, out = sweep_config_file(tmp_path, extra="oracle_cap = -5\n")
+    assert run(["sweep", str(cfg)]) == 2
+    assert "oracle_cap must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_missing_required_key(tmp_path, capsys):
@@ -357,9 +360,11 @@ def test_sweep_missing_required_key(tmp_path, capsys):
 
 
 def test_sweep_unknown_key_rejected(tmp_path, capsys):
-    cfg, _ = sweep_config_file(tmp_path, extra="colour = blue\n")
-    assert run(["sweep", str(cfg)]) == 2
-    assert "'colour'" in capsys.readouterr().err
+    # allow_exact is retired: oracle_cap alone switches the exact oracle
+    for key, value in (("colour", "blue"), ("allow_exact", "true")):
+        cfg, _ = sweep_config_file(tmp_path, extra=f"{key} = {value}\n")
+        assert run(["sweep", str(cfg)]) == 2
+        assert f"{key!r}" in capsys.readouterr().err
 
 
 def test_sweep_duplicate_key_rejected(tmp_path, capsys):
@@ -385,13 +390,11 @@ def test_config_keeps_every_value():
             multiplier_list=(0.5, 1.0, 2.0, 5.0),
             trials=7,
             master_seed=3,
-            allow_exact=True,
             oracle_cap=10,
             workers=2,
         ),
         output="out.csv",
     )
-    assert parse_config(CUSTOM_CFG).sweep.allow_exact is True
 
 
 def test_config_documented_defaults():
@@ -405,13 +408,12 @@ def test_config_documented_defaults():
             multiplier_list=(0.5, 1.0, 2.0, 5.0),
             trials=200,
             master_seed=42,
-            allow_exact=False,
-            oracle_cap=12,
+            oracle_cap=0,
             workers=1,
         ),
         output="o.csv",
     )
-    assert config.sweep.allow_exact is False
+    assert config.sweep.oracle_cap == 0
 
 
 def test_readme_config_example_parses():
@@ -425,8 +427,7 @@ def test_readme_config_example_parses():
             multiplier_list=(0.5, 1.0, 2.0, 5.0),
             trials=200,
             master_seed=42,
-            allow_exact=False,
-            oracle_cap=12,
+            oracle_cap=0,
             workers=1,
         ),
         output="report.csv",

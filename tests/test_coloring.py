@@ -77,7 +77,7 @@ def test_edge_coloring_validation():
     c4 = cycle_graph(4)
     c = EdgeColoring(c4, [0, 1, 0, 2])
     assert c.num_colors == 3
-    assert c.classes == (((0, 1), (1, 2)), ((0, 3),), ((2, 3),))
+    assert c.labels == (0, 1, 0, 2)
     with pytest.raises(ValueError):
         EdgeColoring(c4, [0, 1, 2])  # wrong length
     with pytest.raises(ValueError):
@@ -204,7 +204,8 @@ def test_verifier_matches_brute_force():
         for _ in range(4):
             k = int(rng.integers(1, len(edges) + 1))
             c = EdgeColoring.from_labels(g, rng.integers(0, k, size=len(edges)))
-            expected = oracles._pair_covered_everywhere(n, [list(cls) for cls in c.classes])
+            classes = oracles.edge_classes(g.edges, c.labels)
+            expected = oracles._pair_covered_everywhere(n, classes)
             assert verify_mc_coloring(g, c) == expected
 
 
@@ -238,7 +239,8 @@ def verifier_cases(seed, count):
 def test_first_uncovered_pair_matches_brute_oracle(block_bytes):
     valid = 0
     for g, c in verifier_cases(61_803, 36):
-        expected = oracles.brute_first_uncovered_pair(g.n, [list(cls) for cls in c.classes])
+        classes = oracles.edge_classes(g.edges, c.labels)
+        expected = oracles.brute_first_uncovered_pair(g.n, classes)
         assert first_uncovered_pair(g, c) == expected
         valid += expected is None
     assert 12 <= valid < 36  # families (i) and (ii) are valid, (iii) mostly not

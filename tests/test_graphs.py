@@ -18,9 +18,8 @@ from mclab.graphs import (
     chromatic_number,
     complement,
     complete_graph,
-    connected_components,
+    component_labels,
     cycle_graph,
-    degree,
     diameter,
     has_cut_vertex,
     is_connected,
@@ -28,8 +27,6 @@ from mclab.graphs import (
     is_triangle_free,
     max_degree,
     min_degree,
-    pair_at,
-    pair_index,
     path_graph,
     petersen_graph,
     spanning_tree,
@@ -48,33 +45,14 @@ def random_graphs(draw, min_n=1, max_n=12):
     return Graph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
-# ---------------------------------------------------------------- pair codec
-
-
-def test_pair_codec_roundtrip_exhaustive():
-    for n in range(2, 41):
-        for idx in range(n * (n - 1) // 2):
-            u, v = pair_at(idx, n)
-            assert 0 <= u < v < n
-            assert pair_index(u, v, n) == idx
-
-
-@given(st.integers(min_value=2, max_value=MAX_VERTICES), st.data())
-def test_pair_codec_roundtrip_large(n, data):
-    idx = data.draw(st.integers(min_value=0, max_value=n * (n - 1) // 2 - 1))
-    u, v = pair_at(idx, n)
-    assert pair_index(u, v, n) == idx
-
-
-def test_pair_codec_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        pair_index(2, 1, 5)
-    with pytest.raises(ValueError):
-        pair_index(0, 0, 5)
-    with pytest.raises(ValueError):
-        pair_at(10, 5)
-    with pytest.raises(ValueError):
-        pair_at(-1, 5)
+def partition(g):
+    """The vertex classes of component_labels, each ascending, ordered by
+    smallest member as oracles.brute_components lists them."""
+    _, labels = component_labels(g.n, *g.edge_array.T)
+    comps = {}
+    for v, label in enumerate(labels.tolist()):
+        comps.setdefault(label, []).append(v)
+    return sorted(comps.values())
 
 
 # ------------------------------------------------------------- construction
@@ -180,14 +158,12 @@ def test_named_graphs():
     c4 = cycle_graph(4)
     assert c4.m == 4 and min_degree(c4) == max_degree(c4) == 2
     s4 = star_graph(4)
-    assert s4.m == 3 and degree(s4, 0) == 3 and min_degree(s4) == 1
+    assert s4.m == 3 and s4.degrees[0] == 3 and min_degree(s4) == 1
     pet = petersen_graph()
     assert pet.n == 10 and pet.m == 15
     assert min_degree(pet) == max_degree(pet) == 3
     with pytest.raises(ValueError):
         cycle_graph(2)
-    with pytest.raises(ValueError):
-        degree(k4, 4)
 
 
 # ------------------------------------------- exhaustive oracle cross-checks
@@ -198,7 +174,7 @@ def test_queries_match_brute_force_all_graphs_up_to_n5():
         for edges in oracles.all_edge_subsets(n):
             g = Graph(n, edges)
             comps = oracles.brute_components(n, edges)
-            assert connected_components(g) == comps
+            assert partition(g) == comps
             assert is_connected(g) == (len(comps) == 1)
             assert diameter(g) == oracles.brute_diameter(n, edges)
             assert articulation_points(g) == oracles.brute_cut_vertices(n, edges)
@@ -223,7 +199,7 @@ def test_queries_match_brute_force_sampled_n6():
         density = rng.uniform(0.1, 0.9)
         edges = [p for p in pairs if rng.random() < density]
         g = Graph(6, edges)
-        assert connected_components(g) == oracles.brute_components(6, edges)
+        assert partition(g) == oracles.brute_components(6, edges)
         assert diameter(g) == oracles.brute_diameter(6, edges)
         assert articulation_points(g) == oracles.brute_cut_vertices(6, edges)
         assert is_triangle_free(g) == oracles.brute_triangle_free(6, edges)
@@ -313,7 +289,7 @@ def test_connectivity_needs_the_neighbour_pairs():
     cliques = [(u, v) for lo in (1, 7) for u in range(lo, lo + 6) for v in range(u + 1, lo + 6)]
     edges = sorted(cliques + [(6, 12), (0, 1), (0, 2), (0, 7), (0, 8)])
     g = Graph(13, edges)
-    assert min_degree(g) == 4 and degree(g, 0) == 4
+    assert min_degree(g) == 4 and g.degrees[0] == 4
     assert vertex_connectivity(g) == 2 == oracles.brute_vertex_connectivity(13, edges)
     assert is_k_connected(g, 2)
     assert not is_k_connected(g, 3)
@@ -513,10 +489,7 @@ def test_kappa_at_most_min_degree(g):
 @given(random_graphs())
 @settings(max_examples=150, deadline=None)
 def test_components_partition_vertices(g):
-    comps = connected_components(g)
-    flat = sorted(v for comp in comps for v in comp)
-    assert flat == list(range(g.n))
-    assert sum(len(c) for c in comps) == g.n
+    assert partition(g) == oracles.brute_components(g.n, g.edges)
 
 
 @given(random_graphs(max_n=10))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 import mclab.sampling
-from mclab.graphs import MAX_VERTICES, pair_at
+from mclab.graphs import MAX_VERTICES
 from mclab.sampling import (
     _DENSE_CHUNK,
     SPARSE_KERNEL_THRESHOLD,
@@ -199,7 +199,7 @@ def test_pairs_from_indices_matches_scalar_decode():
     for n in (2, 3, 4, 5, 17, 64, 301):
         total = n * (n - 1) // 2
         decoded = pairs_from_indices(np.arange(total), n)
-        expected = np.array([pair_at(i, n) for i in range(total)])
+        expected = np.array([oracles.pair_at(i, n) for i in range(total)])
         assert np.array_equal(decoded, expected)
 
 
@@ -209,7 +209,7 @@ def test_pairs_from_indices_matches_scalar_decode_large(n, data):
     total = n * (n - 1) // 2
     idx = data.draw(st.integers(min_value=0, max_value=total - 1))
     u, v = pairs_from_indices(np.array([idx]), n)[0]
-    assert (int(u), int(v)) == pair_at(idx, n)
+    assert (int(u), int(v)) == oracles.pair_at(idx, n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10_000, MAX_VERTICES])
@@ -223,8 +223,9 @@ def test_pairs_from_indices_sorted_batches(n):
         ranks = np.unique(np.concatenate([[0, last_row_start, total - 1], drawn]))
         decoded = pairs_from_indices(ranks, n)
         assert decoded.dtype == np.int64 and decoded.shape == (ranks.size, 2)
-        assert [tuple(pair) for pair in decoded.tolist()] == [pair_at(int(i), n) for i in ranks]
-    assert pair_at(last_row_start, n) == (n - 2, n - 1)
+        expected = [oracles.pair_at(int(i), n) for i in ranks]
+        assert [tuple(pair) for pair in decoded.tolist()] == expected
+    assert oracles.pair_at(last_row_start, n) == (n - 2, n - 1)
 
 
 def test_pairs_from_indices_rejects_bad_ranks():

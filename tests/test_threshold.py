@@ -166,8 +166,12 @@ def test_decide_named_cases():
     # C5: lower 2, upper 3, f = 3 falls in the gap
     out = decide_mc_at_least(cycle_graph(5), 3)
     assert (out.decision, out.decision_source) == (UNKNOWN, None)
-    out = decide_mc_at_least(cycle_graph(5), 3, allow_exact=True)
+    out = decide_mc_at_least(cycle_graph(5), 3, oracle_cap=DEFAULT_ORACLE_CAP)
     assert (out.decision, out.decision_source) == (NO, EXACT_SMALL)
+    out = decide_mc_at_least(cycle_graph(5), 3, oracle_cap=4)  # m = 5 > 4: bounds only
+    assert (out.decision, out.decision_source) == (UNKNOWN, None)
+    with pytest.raises(TypeError):  # the cap is keyword-only: a stray True is no cap of 1
+        decide_mc_at_least(cycle_graph(5), 3, True)
     out = decide_mc_at_least(cycle_graph(5), 2)
     assert (out.decision, out.decision_source) == (YES, LOWER_BOUND)
 
@@ -202,6 +206,9 @@ def test_run_trial_examples():
     out = run_trial(100, 0.0, ThresholdSpec.constant(1), RngSeed(7, 1))
     assert (out.decision, out.decision_source) == (NO, DISCONNECTED)
 
+    with pytest.raises(TypeError):  # the cap is keyword-only
+        run_trial(16, 0.5, NLOGN1, RngSeed(1), True)
+
 
 def test_decide_labels_components_at_most_once(monkeypatch):
     # counts the one CSR labelling entry that component_labels and the trial share
@@ -230,7 +237,7 @@ def test_decide_labels_components_at_most_once(monkeypatch):
 
 def test_decide_single_vertex_is_upper_bound_no():
     # mc_lower_bound gives 0 on one vertex, so the upper bound 0 < f decides
-    out = decide_mc_at_least(Graph(1), 1, allow_exact=True)
+    out = decide_mc_at_least(Graph(1), 1, oracle_cap=DEFAULT_ORACLE_CAP)
     assert out == TrialOutcome(True, 0, 0, NO, UPPER_BOUND)
 
 
@@ -259,14 +266,14 @@ def test_run_trial_matches_decide_on_sampled_graph():
         for p in (0.0, 5e-324, 1e-17, math.log(n) / n, 0.099, 0.1, 0.5, 1.0):
             for spec in _specs_for(n):
                 f_value = math.ceil(spec.f_value(n))
-                for allow_exact in (False, True):
+                for oracle_cap in (0, DEFAULT_ORACLE_CAP):
                     for t in range(10):
                         seed = RngSeed(606, t)
-                        got = run_trial(n, p, spec, seed, allow_exact, DEFAULT_ORACLE_CAP)
+                        got = run_trial(n, p, spec, seed, oracle_cap=oracle_cap)
                         want = decide_mc_at_least(
-                            sample_gnp(n, p, seed), f_value, allow_exact, DEFAULT_ORACLE_CAP
+                            sample_gnp(n, p, seed), f_value, oracle_cap=oracle_cap
                         )
-                        assert got == want, (n, p, spec, allow_exact, t)
+                        assert got == want, (n, p, spec, oracle_cap, t)
                         sources.add(got.decision_source)
     assert sources == {DISCONNECTED, LOWER_BOUND, UPPER_BOUND, EXACT_SMALL, None}
 
@@ -326,6 +333,24 @@ def test_sweep_config_validation():
     ):
         with pytest.raises(ValueError):
             SweepConfig(**bad)
+    assert SweepConfig(**base).oracle_cap == 0
+    with pytest.raises(ValueError, match="oracle_cap"):
+        SweepConfig(**base, oracle_cap=-1)
+
+
+def test_sweep_passes_oracle_cap_to_every_trial(monkeypatch):
+    caps = []
+    run = mclab.threshold.run_trial
+
+    def recording(*args, **kwargs):
+        caps.append(kwargs["oracle_cap"])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(mclab.threshold, "run_trial", recording)
+    config = SweepConfig(spec=NLOGN1, n_list=(100,), multiplier_list=(1.0,), trials=6,
+                         master_seed=5, oracle_cap=20, workers=1)
+    assert sweep(config).rows[0].trials == 6
+    assert caps == [20] * 6
 
 
 def test_sweep_deterministic_and_csv_shape():
