@@ -63,8 +63,8 @@ EXACT_ORACLE = "EXACT_ORACLE"
 # edges its slowest case over 200 sparse graphs (delta >= 2, n = 8..11) took
 # about 20 ms in CPython 3.11 on one core
 DEFAULT_ORACLE_CAP = 12
-# the kappa bound and certificate (a) are skipped beyond this; each costs
-# O(n + delta^2) max-flows on an O(n + m) network
+# the kappa bound and certificate (a) are skipped beyond this; each bounds
+# O(n + delta^2) vertex pairs, most without a max-flow
 DEFAULT_KAPPA_CAP = 64
 
 
@@ -226,8 +226,8 @@ def mc_upper_bound(
     """Minimum of the degree, chromatic, and connectivity upper bounds.
 
     The chromatic term joins only when n <= chi_cap (exact chi is exponential),
-    the connectivity term only when n <= kappa_cap (kappa takes O(n + delta^2)
-    max-flows). Returns the bound and the tags of every term achieving it.
+    the connectivity term only when n <= kappa_cap (kappa bounds O(n + delta^2)
+    vertex pairs, most of them without a max-flow). Returns the bound and the tags of every term achieving it.
     """
     if g.n < 2:
         raise ValueError("upper bound needs at least 2 vertices")

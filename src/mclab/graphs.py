@@ -386,27 +386,67 @@ def _separating_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((np.full(far.shape[0], v), nbrs[x])), np.concatenate((far, nbrs[y]))
 
 
+def _matched_paths(masks: list[int], s: int, t: int, need: int) -> int:
+    """Paths s-a-b-t, at most ``need``, from a greedy matching between A, the
+    neighbours of s that are not neighbours of t, and B, those of t not of s;
+    ``masks[v]`` has bit u set iff u ~ v.
+
+    A and B are disjoint from each other and from the common neighbours, so
+    the paths of the matched edges a-b are internally disjoint from each other
+    and from the paths s-c-t through the common neighbours c. A's vertices go
+    in ascending order of their number of partners in B, ties by vertex, and
+    each takes its lowest free partner; the count stops at ``need``.
+    """
+    side_s, side_t = masks[s] & ~masks[t], masks[t] & ~masks[s]
+    options = []
+    while side_s:
+        low = side_s & -side_s
+        a = low.bit_length() - 1
+        options.append(((masks[a] & side_t).bit_count(), a))
+        side_s ^= low
+    options.sort()
+    free, matched = side_t, 0
+    for _, a in options:
+        avail = masks[a] & free
+        if avail:
+            free ^= avail & -avail
+            matched += 1
+            if matched == need:
+                break
+    return matched
+
+
 def _least_pair_connectivity(g: Graph, cap: int, stop: int) -> int:
     """min(cap, least local vertex connectivity over :func:`_separating_pairs`).
 
-    Each pair is capped at the running minimum: a pair with at least that
-    many common neighbours has that many disjoint paths of length 2 and needs
-    no flow. One sparse product, A times the dense rows of the pairs' first
-    vertices (at most delta + 1 of them, so at most 2m + n entries), counts
-    them. The other pairs each take a maximum flow on one split network,
-    built at the first of them. Returns as soon as the minimum reaches
-    ``stop``.
+    Each pair is capped at the running minimum, and most pairs reach it
+    without a flow. A pair (s, t) with c common neighbours has c disjoint
+    paths s-c-t; one sparse product, A times the dense rows of the pairs'
+    first vertices (at most delta + 1 of them, so at most 2m + n entries),
+    counts them. A pair short of the minimum adds the paths s-a-b-t of a
+    greedy matching between the neighbours of s alone and those of t alone
+    (:func:`_matched_paths`, on neighbour bitmasks cut from
+    :func:`_packed_adjacency` at the first such pair); no vertex but s and t
+    lies on two of these paths, so by Menger's theorem their count is at most
+    kappa(s, t). The pairs still
+    short each take a maximum flow on one split network, built at the first
+    of them. Returns as soon as the minimum reaches ``stop``.
     """
     s, t = _separating_pairs(g)
     adj = g._adjacency
     firsts, column = np.unique(s, return_inverse=True)
     common = (adj @ adj[firsts].toarray().T)[t, column]
     least = cap
-    net = None
+    masks = net = None
     for u, w, shared in zip(s.tolist(), t.tolist(), common.tolist()):
         if least <= stop:
             break
         if shared >= least:
+            continue
+        if masks is None:
+            masks = [int.from_bytes(row, "little") for row in _packed_adjacency(g)]
+        need = least - int(shared)
+        if _matched_paths(masks, u, w, need) == need:
             continue
         if net is None:
             net = _split_network(g)
@@ -418,8 +458,13 @@ def vertex_connectivity(g: Graph) -> int:
     """Vertex connectivity: minimum vertex cut over all non-adjacent pairs,
     with the complete-graph convention n - 1; 0 for disconnected graphs.
 
-    Runs at most (n - 1 - delta) + delta(delta - 1)/2 maximum flows (see
-    :func:`_separating_pairs`), and stops once the minimum reaches 1.
+    Bounds at most (n - 1 - delta) + delta(delta - 1)/2 pairs (see
+    :func:`_separating_pairs`), and stops once the minimum reaches 1. Most
+    pairs need no flow: the common neighbours of the two ends, and the edges
+    of a greedy matching between their other neighbours, give internally
+    disjoint paths of length 2 and 3, at most kappa(s, t) of them, and a pair
+    with as many as the running minimum cannot lower it (see
+    :func:`_least_pair_connectivity`).
     """
     n = g.n
     if n == 1 or not is_connected(g):
@@ -433,7 +478,10 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """True iff the graph stays connected after removing any k - 1 vertices.
 
     Stops at the first pair of :func:`_separating_pairs` that fewer than k
-    vertices separate.
+    vertices separate. A pair needs no flow when its common neighbours and
+    the edges of a greedy matching between the other neighbours of its ends
+    give k internally disjoint paths of length 2 and 3, since fewer than k
+    vertices cannot cut them all (see :func:`_least_pair_connectivity`).
     """
     if k <= 0:
         return True

@@ -209,6 +209,39 @@ def brute_vertex_connectivity(n, edges):
     return n - 1
 
 
+def brute_local_connectivity(n, edges, s, t):
+    """Fewest vertices other than the non-adjacent s and t whose removal leaves
+    them in different components, by enumerating cuts in order of size."""
+    others = [v for v in range(n) if v not in (s, t)]
+    for k in range(len(others) + 1):
+        for cut in itertools.combinations(others, k):
+            if not any(s in comp and t in comp for comp in brute_components(n, edges, skip=cut)):
+                return k
+    raise AssertionError("unreachable: removing every other vertex separates s and t")
+
+
+def brute_bipartite_matching(n, edges, left, right):
+    """Most edges of the graph from `left` to the disjoint `right` with no end in
+    common: every way for each left vertex to take a free partner or none is
+    tried, except branches that cannot beat the best matching found so far."""
+    adj = adjacency(n, edges)
+    options = [sorted(adj[a] & set(right)) for a in sorted(left)]
+    best = 0
+
+    def extend(i, used, size):
+        nonlocal best
+        best = max(best, size)
+        if size + min(len(options) - i, len(right) - len(used)) <= best:
+            return
+        for b in options[i]:
+            if b not in used:
+                extend(i + 1, used | {b}, size + 1)
+        extend(i + 1, used, size)
+
+    extend(0, frozenset(), 0)
+    return best
+
+
 def brute_is_k_connected(n, edges, k):
     """True iff n > k and no set of fewer than k vertices disconnects the rest."""
     if k <= 0:

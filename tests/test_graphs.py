@@ -218,11 +218,7 @@ def test_adjacency_rows_are_sorted_neighbour_lists_up_to_n5():
 
 
 def test_separating_pairs_match_brute_force_order():
-    cases = []
-    for n in range(3, 7):
-        for edges in oracles.all_edge_subsets(n):
-            if len(edges) < n * (n - 1) // 2 and oracles.brute_connected(n, edges):
-                cases.append(Graph(n, edges))
+    cases = connected_non_complete(range(3, 7))
     gnp64 = sample_gnp(64, 0.3, RngSeed(6))
     cases += [gnp64, complement(gnp64)]
     for g in cases:
@@ -322,24 +318,83 @@ def test_connectivity_runs_esfahanian_hakimi_flows_on_one_network(monkeypatch):
     flows.clear()
     assert vertex_connectivity(g) == 12
     assert 0 < len(flows) < 100  # every non-adjacent pair would be 1,423 flows
-    # exactly the pairs with fewer common neighbours than the running minimum
-    # (delta at first) take a flow, until that minimum reaches 1
-    cases = [g, two_cliques_sharing(6, 2)] + [
-        Graph(n, edges) for n in range(3, 6) for edges in oracles.all_edge_subsets(n)
-        if len(edges) < n * (n - 1) // 2 and oracles.brute_connected(n, edges)]
-    for h in cases:
+    # in Esfahanian-Hakimi order, until the running minimum (delta at first)
+    # reaches 1: a pair whose common neighbours plus a maximum matching between
+    # the neighbours of one end alone and those of the other fall short of the
+    # minimum takes a flow, and a pair that takes one has fewer common
+    # neighbours than the minimum
+    for h in connected_non_complete(range(3, 6)) + [g, two_cliques_sharing(6, 2)]:
         flows.clear()
         vertex_connectivity(h)
         got = dict(flows)
-        adj = oracles.adjacency(h.n, h.edges)
-        least, expected = min_degree(h), []
-        for s, t in oracles.brute_separating_pairs(h.n, list(h.edges)):
+        edges = list(h.edges)
+        adj = oracles.adjacency(h.n, edges)
+        least, taken = min_degree(h), []
+        for s, t in oracles.brute_separating_pairs(h.n, edges):
             if least <= 1:
                 break
-            if len(adj[s] & adj[t]) < least:
-                expected.append((2 * s + 1, 2 * t))
-                least = min(least, got.get((2 * s + 1, 2 * t), least))
-        assert [pair for pair, _ in flows] == expected, h
+            shared = len(adj[s] & adj[t])
+            if (2 * s + 1, 2 * t) in got:
+                assert shared < least, (h, s, t)
+                taken.append((2 * s + 1, 2 * t))
+                least = min(least, got[2 * s + 1, 2 * t])
+            elif shared < least:
+                matched = oracles.brute_bipartite_matching(
+                    h.n, edges, adj[s] - adj[t], adj[t] - adj[s])
+                assert shared + matched >= least, (h, s, t)
+        assert [pair for pair, _ in flows] == taken, h
+
+
+def test_matched_paths_never_exceed_local_connectivity():
+    rng = np.random.default_rng(8128)
+    cases = connected_non_complete(range(3, 6))
+    for n in (6, 7, 8):
+        pairs = oracles.all_pairs(n)
+        for _ in range(100):
+            density = rng.uniform(0.3, 0.9)
+            edges = [p for p in pairs if rng.random() < density]
+            if len(edges) < len(pairs) and oracles.brute_connected(n, edges):
+                cases.append(Graph(n, edges))
+    beyond_shared = 0
+    for h in cases:
+        edges = list(h.edges)
+        adj = oracles.adjacency(h.n, edges)
+        masks = [sum(1 << u for u in nbrs) for nbrs in adj]
+        for s, t in oracles.all_pairs(h.n):
+            if t in adj[s]:
+                continue
+            paths = graphs._matched_paths(masks, s, t, h.n)
+            kappa = oracles.brute_local_connectivity(h.n, edges, s, t)
+            assert len(adj[s] & adj[t]) + paths <= kappa, (h, s, t)
+            beyond_shared += paths > 0
+    assert beyond_shared > 100
+
+
+def test_matching_spares_the_flows_of_large_graphs(monkeypatch):
+    flows = []
+    real_flow = graphs.maximum_flow
+
+    def counting_flow(net, source, sink):
+        flows.append((source, sink))
+        return real_flow(net, source, sink)
+
+    monkeypatch.setattr(graphs, "maximum_flow", counting_flow)
+    # every pair of both queries has fewer common neighbours than the minimum,
+    # so each would take a flow without the matching; under 1% of them do
+    sparse, dense = sample_gnp(2000, 0.05, RngSeed(5)), sample_gnp(600, 0.5, RngSeed(11))
+    assert [graphs._separating_pairs(h)[0].shape[0] for h in (sparse, dense)] == [4224, 17662]
+    assert is_k_connected(sparse, 25)
+    assert len(flows) < 4224 // 100
+    flows.clear()
+    assert vertex_connectivity(dense) == 264  # its minimum degree
+    assert len(flows) < 17662 // 100
+
+
+def connected_non_complete(sizes):
+    """Every connected, non-complete graph on n labelled vertices, n in ``sizes``."""
+    return [
+        Graph(n, edges) for n in sizes for edges in oracles.all_edge_subsets(n)
+        if len(edges) < n * (n - 1) // 2 and oracles.brute_connected(n, edges)]
 
 
 def two_cliques_sharing(size, shared):
