@@ -138,7 +138,6 @@ _CONFIG_KEYS = {
     "multipliers": "float_list",
     "trials": "int",
     "master_seed": "int",
-    "oracle_cap": "int",
     "workers": "int",
     "output": "str",
 }
@@ -173,7 +172,7 @@ def parse_config(text: str) -> ExperimentConfig:
             n_list=values.pop("n"),
             multiplier_list=values.pop("multipliers", DEFAULT_MULTIPLIERS),
             trials=values.pop("trials", DEFAULT_TRIALS),
-            **values,  # master_seed, oracle_cap, workers
+            **values,  # master_seed, workers
         )
     except ConfigError:
         raise

@@ -3,10 +3,11 @@
 The decision procedure for one sampled graph mirrors the two closed-form
 bounds: a disconnected sample is an immediate NO; an edge count with
 m - n + 2 >= f certifies YES; m - n + delta + 1 < f certifies NO; anything
-else is UNKNOWN, unless the sample has at most ``oracle_cap`` edges and the
-exact oracle settles it (the default cap 0 never runs it). Sweeps
-tally YES/NO/UNKNOWN per (n, multiplier) cell with one RNG stream per trial,
-so reports are reproducible byte for byte and schedule-independent.
+else is UNKNOWN. Trials are bounds-only: they need m, the minimum degree
+delta and connectivity, and the exact value of one graph comes from
+:func:`mclab.coloring.analyze`. Sweeps tally YES/NO/UNKNOWN per
+(n, multiplier) cell with one RNG stream per trial, so reports are
+reproducible byte for byte and schedule-independent.
 
 All logarithms are natural.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from . import graphs
-from .coloring import exact_mc_small
 from .errors import UnsupportedSpecError
 from .graphs import Graph
 from .sampling import RngSeed, _decode_rows, _draw
@@ -45,7 +46,7 @@ UNKNOWN = "UNKNOWN"
 DISCONNECTED = "DISCONNECTED"
 LOWER_BOUND = "LOWER_BOUND"
 UPPER_BOUND = "UPPER_BOUND"
-EXACT_SMALL = "EXACT_SMALL"
+EXACT_SMALL = "EXACT_SMALL"  # no trial reports it; kept as perfbench/workloads.py imports it
 
 MIN_FORMULA_N = 16  # below this the dense formula's log log term is degenerate
 
@@ -101,6 +102,8 @@ class ThresholdSpec:
             if ell is None or not math.isfinite(float(ell)) or float(ell) <= 0:
                 raise ValueError("DENSE custom specs need a positive ell")
             ell = float(ell)
+        elif ell is not None:
+            raise ValueError("key 'ell': not used by the custom family with a SPARSE regime")
         table = tuple(sorted((int(k), float(v)) for k, v in values.items()))
         if not table:
             raise ValueError("custom table must not be empty")
@@ -188,24 +191,18 @@ class TrialOutcome:
     m: int
     delta: int
     decision: str
-    decision_source: Optional[str]  # None exactly when the decision is UNKNOWN
+    # DISCONNECTED, LOWER_BOUND or UPPER_BOUND; None exactly when the decision is UNKNOWN
+    decision_source: Optional[str]
 
 
-def _decide(
-    n: int,
-    indptr: np.ndarray,
-    tails: np.ndarray,
-    f_value: int,
-    oracle_cap: int,
-) -> TrialOutcome:
+def _decide(n: int, indptr: np.ndarray, tails: np.ndarray, f_value: int) -> TrialOutcome:
     """The decision ladder on the CSR edges: vertex u is joined to
     ``tails[indptr[u]:indptr[u+1]]``, so m is ``len(tails)`` and the degrees
     are the row lengths plus the tail counts.
 
+    DISCONNECTED, then LOWER_BOUND, then UPPER_BOUND, else UNKNOWN.
     Components are labelled at most once, and not at all when a vertex is
-    isolated or m < n - 1; a :class:`Graph` is built only when the exact
-    oracle runs: the bounds leave a gap and m <= ``oracle_cap``. A sample
-    that gets that far is connected on n >= 2 vertices, so cap 0 never runs it.
+    isolated or m < n - 1.
     """
     m = len(tails)
     delta = int((np.diff(indptr) + np.bincount(tails, minlength=n)).min())
@@ -219,53 +216,35 @@ def _decide(
     upper = m - n + delta + 1
     if upper < f_value:
         return TrialOutcome(True, m, delta, NO, UPPER_BOUND)
-    if m <= oracle_cap:
-        heads = np.repeat(np.arange(n), np.diff(indptr))
-        exact = exact_mc_small(Graph(n, np.column_stack([heads, tails])), cap=oracle_cap)
-        decision = YES if exact >= f_value else NO
-        return TrialOutcome(True, m, delta, decision, EXACT_SMALL)
     return TrialOutcome(True, m, delta, UNKNOWN, None)
 
 
-def decide_mc_at_least(
-    g: Graph,
-    f_value: int,
-    *,
-    oracle_cap: int = 0,
-) -> TrialOutcome:
+def decide_mc_at_least(g: Graph, f_value: int) -> TrialOutcome:
     """Decide mc(g) >= f_value using the certified bounds, never guessing.
 
-    YES requires the spanning-tree lower bound (or the exact oracle) to reach
-    f; NO requires disconnection or the min-degree upper bound (or the oracle)
-    to fall short of it. The oracle runs only when m <= ``oracle_cap``, so
-    never at the default 0. Components are labelled at most once, and not at
-    all when a vertex is isolated or m < n - 1.
+    YES requires the spanning-tree lower bound to reach f; NO requires
+    disconnection or the min-degree upper bound to fall short of it; a gap
+    between the bounds is UNKNOWN (``analyze`` gives the exact value of one
+    graph). Components are labelled at most once, and not at all when a
+    vertex is isolated or m < n - 1.
     """
     if f_value < 1:
         raise ValueError("f_value must be at least 1")
     heads, tails = g.edge_array.T
     indptr = np.searchsorted(heads, np.arange(g.n + 1))
-    return _decide(g.n, indptr, tails, f_value, oracle_cap)
+    return _decide(g.n, indptr, tails, f_value)
 
 
-def run_trial(
-    n: int,
-    p: float,
-    spec: ThresholdSpec,
-    seed: RngSeed,
-    *,
-    oracle_cap: int = 0,
-) -> TrialOutcome:
+def run_trial(n: int, p: float, spec: ThresholdSpec, seed: RngSeed) -> TrialOutcome:
     """Sample one graph and decide mc >= ceil(f(n)); deterministic per seed.
 
     The outcome equals ``decide_mc_at_least(sample_gnp(n, p, seed), ...)``,
     but the trial carries one CSR, ``(indptr, tails)``, from the decoded pair
-    ranks to m, the degrees and the components: a :class:`Graph` is built
-    only when the exact oracle runs (m <= ``oracle_cap``; the default 0
-    never runs it).
+    ranks to m, the degrees and the components, and never builds a
+    :class:`Graph`.
     """
     f_value = math.ceil(spec.f_value(n))
-    return _decide(n, *_decode_rows(_draw(n, p, seed), n), f_value, oracle_cap)
+    return _decide(n, *_decode_rows(_draw(n, p, seed), n), f_value)
 
 
 def trial_seed(master_seed: int, row_index: int, trial_index: int) -> RngSeed:
@@ -284,11 +263,19 @@ class SweepConfig:
     multiplier_list: tuple[float, ...]
     trials: int
     master_seed: int
-    oracle_cap: int = 0  # largest m the exact oracle settles; 0 never runs it
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        for name in ("n_list", "trials", "master_seed", "workers"):
+            value = getattr(self, name)
+            try:  # operator.index refuses floats where int() would truncate them
+                if name == "n_list":
+                    value = tuple(map(operator.index, value))
+                else:
+                    value = operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must hold integers, got {value!r}") from None
+            object.__setattr__(self, name, value)
         object.__setattr__(
             self, "multiplier_list", tuple(float(x) for x in self.multiplier_list)
         )
@@ -304,8 +291,6 @@ class SweepConfig:
             raise ValueError("trials must be at least 1")
         if not (0 <= self.master_seed < 1 << 64):
             raise ValueError("master_seed must fit in 64 unsigned bits")
-        if self.oracle_cap < 0:
-            raise ValueError("oracle_cap must be at least 0")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -317,7 +302,6 @@ class SweepConfig:
             "multipliers": list(self.multiplier_list),
             "trials": self.trials,
             "master_seed": self.master_seed,
-            "oracle_cap": self.oracle_cap,
             "workers": self.workers,
         }
 
@@ -376,13 +360,7 @@ def _trial_batch(args) -> tuple[int, int, int]:
     config, n, p, row_index, start, stop = args
     yes = no = unknown = 0
     for t in range(start, stop):
-        outcome = run_trial(
-            n,
-            p,
-            config.spec,
-            trial_seed(config.master_seed, row_index, t),
-            oracle_cap=config.oracle_cap,
-        )
+        outcome = run_trial(n, p, config.spec, trial_seed(config.master_seed, row_index, t))
         if outcome.decision == YES:
             yes += 1
         elif outcome.decision == NO:

@@ -265,7 +265,6 @@ CUSTOM_CFG = (
     "multipliers = 0.5,1,2,5\n"
     "trials = 7\n"
     "master_seed = 3\n"
-    "oracle_cap = 10\n"
     "workers = 2\n"
     "output = out.csv\n"
 )
@@ -334,8 +333,7 @@ def test_sidecar_text_is_pinned(tmp_path):
         '    "ell": 0.5,\n    "table": {\n      "100": 50.0,\n      "200": 120.5\n'
         '    }\n  },\n  "n": [\n    100,\n    200\n  ],\n'
         '  "multipliers": [\n    0.5,\n    1.0,\n    2.0,\n    5.0\n  ],\n'
-        '  "trials": 7,\n  "master_seed": 3,\n  "oracle_cap": 10,\n'
-        '  "workers": 2,\n'
+        '  "trials": 7,\n  "master_seed": 3,\n  "workers": 2,\n'
         f'  "output": {json.dumps(str(out))}\n}}\n'
     )
     assert (tmp_path / "out.csv.json").read_text() == expected
@@ -346,9 +344,9 @@ def test_sweep_bad_value_names_the_key(tmp_path, capsys):
     cfg.write_text(SWEEP_CFG.replace("trials = 5", "trials = many") + "output = o.csv\n")
     assert run(["sweep", str(cfg)]) == 2
     assert "'trials'" in capsys.readouterr().err
-    cfg, out = sweep_config_file(tmp_path, extra="oracle_cap = -5\n")
+    cfg, out = sweep_config_file(tmp_path, extra="workers = 0\n")
     assert run(["sweep", str(cfg)]) == 2
-    assert "oracle_cap must be at least 0" in capsys.readouterr().err
+    assert "workers must be at least 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -360,11 +358,12 @@ def test_sweep_missing_required_key(tmp_path, capsys):
 
 
 def test_sweep_unknown_key_rejected(tmp_path, capsys):
-    # allow_exact is retired: oracle_cap alone switches the exact oracle
-    for key, value in (("colour", "blue"), ("allow_exact", "true")):
-        cfg, _ = sweep_config_file(tmp_path, extra=f"{key} = {value}\n")
+    # allow_exact and oracle_cap are retired: sweep trials decide by the bounds alone
+    for key, value in (("colour", "blue"), ("allow_exact", "true"), ("oracle_cap", "0")):
+        cfg, out = sweep_config_file(tmp_path, extra=f"{key} = {value}\n")
         assert run(["sweep", str(cfg)]) == 2
-        assert f"{key!r}" in capsys.readouterr().err
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_sweep_duplicate_key_rejected(tmp_path, capsys):
@@ -390,7 +389,6 @@ def test_config_keeps_every_value():
             multiplier_list=(0.5, 1.0, 2.0, 5.0),
             trials=7,
             master_seed=3,
-            oracle_cap=10,
             workers=2,
         ),
         output="out.csv",
@@ -408,12 +406,10 @@ def test_config_documented_defaults():
             multiplier_list=(0.5, 1.0, 2.0, 5.0),
             trials=200,
             master_seed=42,
-            oracle_cap=0,
             workers=1,
         ),
         output="o.csv",
     )
-    assert config.sweep.oracle_cap == 0
 
 
 def test_readme_config_example_parses():
@@ -427,7 +423,6 @@ def test_readme_config_example_parses():
             multiplier_list=(0.5, 1.0, 2.0, 5.0),
             trials=200,
             master_seed=42,
-            oracle_cap=0,
             workers=1,
         ),
         output="report.csv",
@@ -457,7 +452,7 @@ SPEC_VALUES = {"c": "2", "alpha": "0.5", "ell": "3", "regime": "dense", "table":
     ("constant", "c = 2\n", ("alpha", "ell", "regime", "table")),
     ("power", "alpha = 0.5\n", ("c", "ell", "regime", "table")),
     ("nlogn", "", ("c", "alpha", "regime", "table")),
-    ("custom", "regime = sparse\ntable = 100:5\n", ("c", "alpha")),
+    ("custom", "regime = sparse\ntable = 100:5\n", ("c", "alpha", "ell")),
 ], ids=["constant", "power", "nlogn", "custom"])
 def test_config_rejects_keys_the_family_never_reads(tmp_path, capsys, family, needs, unused):
     base = f"family = {family}\n{needs}n = 100\nmaster_seed = 1\noutput = {tmp_path / 'o.csv'}\n"

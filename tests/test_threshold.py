@@ -8,14 +8,13 @@ import pytest
 import oracles
 import mclab.graphs
 import mclab.threshold
-from mclab.coloring import DEFAULT_ORACLE_CAP, exact_mc_small
+from mclab.coloring import analyze, exact_mc_small
 from mclab.errors import UnsupportedSpecError
 from mclab.graphs import MAX_VERTICES, Graph, complete_graph, cycle_graph, star_graph
 from mclab.sampling import RngSeed, sample_gnp
 from mclab.threshold import (
     DENSE,
     DISCONNECTED,
-    EXACT_SMALL,
     LOWER_BOUND,
     NO,
     SPARSE,
@@ -70,6 +69,8 @@ def test_spec_validation():
         ThresholdSpec.custom({100: 5.0}, DENSE)  # missing ell
     with pytest.raises(ValueError):
         ThresholdSpec.custom({100: 5.0}, "MEDIUM")
+    with pytest.raises(ValueError, match="'ell'"):  # a SPARSE spec never reads ell
+        ThresholdSpec.custom({100: 5.0}, SPARSE, ell=-4)
 
 
 def test_f_value_and_range():
@@ -163,14 +164,13 @@ def test_decide_named_cases():
     out = decide_mc_at_least(star_graph(5), 2)
     assert (out.decision, out.decision_source) == (NO, UPPER_BOUND)
 
-    # C5: lower 2, upper 3, f = 3 falls in the gap
+    # C5: lower 2, upper 3, f = 3 falls in the gap; only analyze knows mc(C5) = 2
     out = decide_mc_at_least(cycle_graph(5), 3)
     assert (out.decision, out.decision_source) == (UNKNOWN, None)
-    out = decide_mc_at_least(cycle_graph(5), 3, oracle_cap=DEFAULT_ORACLE_CAP)
-    assert (out.decision, out.decision_source) == (NO, EXACT_SMALL)
-    out = decide_mc_at_least(cycle_graph(5), 3, oracle_cap=4)  # m = 5 > 4: bounds only
-    assert (out.decision, out.decision_source) == (UNKNOWN, None)
-    with pytest.raises(TypeError):  # the cap is keyword-only: a stray True is no cap of 1
+    assert analyze(cycle_graph(5)).exact == 2
+    with pytest.raises(TypeError):  # trials are bounds-only: no exact-oracle cap
+        decide_mc_at_least(cycle_graph(5), 3, oracle_cap=12)
+    with pytest.raises(TypeError):
         decide_mc_at_least(cycle_graph(5), 3, True)
     out = decide_mc_at_least(cycle_graph(5), 2)
     assert (out.decision, out.decision_source) == (YES, LOWER_BOUND)
@@ -206,7 +206,9 @@ def test_run_trial_examples():
     out = run_trial(100, 0.0, ThresholdSpec.constant(1), RngSeed(7, 1))
     assert (out.decision, out.decision_source) == (NO, DISCONNECTED)
 
-    with pytest.raises(TypeError):  # the cap is keyword-only
+    with pytest.raises(TypeError):  # trials are bounds-only: no exact-oracle cap
+        run_trial(16, 0.5, NLOGN1, RngSeed(1), oracle_cap=12)
+    with pytest.raises(TypeError):
         run_trial(16, 0.5, NLOGN1, RngSeed(1), True)
 
 
@@ -237,7 +239,7 @@ def test_decide_labels_components_at_most_once(monkeypatch):
 
 def test_decide_single_vertex_is_upper_bound_no():
     # mc_lower_bound gives 0 on one vertex, so the upper bound 0 < f decides
-    out = decide_mc_at_least(Graph(1), 1, oracle_cap=DEFAULT_ORACLE_CAP)
+    out = decide_mc_at_least(Graph(1), 1)
     assert out == TrialOutcome(True, 0, 0, NO, UPPER_BOUND)
 
 
@@ -266,16 +268,13 @@ def test_run_trial_matches_decide_on_sampled_graph():
         for p in (0.0, 5e-324, 1e-17, math.log(n) / n, 0.099, 0.1, 0.5, 1.0):
             for spec in _specs_for(n):
                 f_value = math.ceil(spec.f_value(n))
-                for oracle_cap in (0, DEFAULT_ORACLE_CAP):
-                    for t in range(10):
-                        seed = RngSeed(606, t)
-                        got = run_trial(n, p, spec, seed, oracle_cap=oracle_cap)
-                        want = decide_mc_at_least(
-                            sample_gnp(n, p, seed), f_value, oracle_cap=oracle_cap
-                        )
-                        assert got == want, (n, p, spec, oracle_cap, t)
-                        sources.add(got.decision_source)
-    assert sources == {DISCONNECTED, LOWER_BOUND, UPPER_BOUND, EXACT_SMALL, None}
+                for t in range(10):
+                    seed = RngSeed(606, t)
+                    got = run_trial(n, p, spec, seed)
+                    want = decide_mc_at_least(sample_gnp(n, p, seed), f_value)
+                    assert got == want, (n, p, spec, t)
+                    sources.add(got.decision_source)
+    assert sources == {DISCONNECTED, LOWER_BOUND, UPPER_BOUND, None}
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -333,24 +332,15 @@ def test_sweep_config_validation():
     ):
         with pytest.raises(ValueError):
             SweepConfig(**bad)
-    assert SweepConfig(**base).oracle_cap == 0
-    with pytest.raises(ValueError, match="oracle_cap"):
-        SweepConfig(**base, oracle_cap=-1)
-
-
-def test_sweep_passes_oracle_cap_to_every_trial(monkeypatch):
-    caps = []
-    run = mclab.threshold.run_trial
-
-    def recording(*args, **kwargs):
-        caps.append(kwargs["oracle_cap"])
-        return run(*args, **kwargs)
-
-    monkeypatch.setattr(mclab.threshold, "run_trial", recording)
-    config = SweepConfig(spec=NLOGN1, n_list=(100,), multiplier_list=(1.0,), trials=6,
-                         master_seed=5, oracle_cap=20, workers=1)
-    assert sweep(config).rows[0].trials == 6
-    assert caps == [20] * 6
+    # non-integers are refused at construction, never truncated or left for sweep()
+    for key, value in (("n_list", (100.7,)), ("trials", 2.5), ("master_seed", 1.5),
+                       ("workers", 2.0)):
+        with pytest.raises(ValueError, match=key):
+            SweepConfig(**{**base, key: value})
+    config = SweepConfig(**{**base, "n_list": [np.int64(300)], "trials": np.int64(5)})
+    assert config == SweepConfig(**base) and type(config.n_list[0]) is int
+    with pytest.raises(TypeError):  # the exact-oracle cap is retired
+        SweepConfig(**base, oracle_cap=0)
 
 
 def test_sweep_deterministic_and_csv_shape():
