@@ -22,7 +22,6 @@ from .coloring import (
     analyze,
     first_uncovered_pair,
 )
-from .errors import FormatError, UnsupportedSpecError
 from .files import read_coloring, read_edge_list, write_edge_list
 from .sampling import RngSeed, sample_gnp
 from .threshold import (
@@ -320,10 +319,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, UnsupportedSpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # every mclab error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -227,7 +227,8 @@ def mc_upper_bound(
 
     The chromatic term joins only when n <= chi_cap (exact chi is exponential),
     the connectivity term only when n <= kappa_cap (kappa bounds O(n + delta^2)
-    vertex pairs, most of them without a max-flow). Returns the bound and the tags of every term achieving it.
+    vertex pairs, most of them without a max-flow). Returns the bound and the
+    tags of every term achieving it.
     """
     if g.n < 2:
         raise ValueError("upper bound needs at least 2 vertices")

@@ -386,17 +386,21 @@ def _separating_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate((np.full(far.shape[0], v), nbrs[x])), np.concatenate((far, nbrs[y]))
 
 
-def _matched_paths(masks: list[int], s: int, t: int, need: int) -> int:
-    """Paths s-a-b-t, at most ``need``, from a greedy matching between A, the
-    neighbours of s that are not neighbours of t, and B, those of t not of s;
-    ``masks[v]`` has bit u set iff u ~ v.
+def _short_paths(masks: list[int], s: int, t: int, need: int) -> int:
+    """Internally disjoint s-t paths of length 2 and 3, counted until the
+    count reaches ``need``; ``masks[v]`` has bit u set iff u ~ v.
 
-    A and B are disjoint from each other and from the common neighbours, so
-    the paths of the matched edges a-b are internally disjoint from each other
-    and from the paths s-c-t through the common neighbours c. A's vertices go
-    in ascending order of their number of partners in B, ties by vertex, and
-    each takes its lowest free partner; the count stops at ``need``.
+    Each common neighbour c gives a path s-c-t. Short of ``need``, the edges
+    a-b of a greedy matching between A, the neighbours of s that are not
+    neighbours of t, and B, those of t not of s, add paths s-a-b-t. A and B
+    are disjoint from each other and from the common neighbours, so no vertex
+    but s and t lies on two of these paths. A's vertices go in ascending
+    order of their number of partners in B, ties by vertex, and each takes
+    its lowest free partner.
     """
+    paths = (masks[s] & masks[t]).bit_count()
+    if paths >= need:
+        return paths
     side_s, side_t = masks[s] & ~masks[t], masks[t] & ~masks[s]
     options = []
     while side_s:
@@ -405,52 +409,41 @@ def _matched_paths(masks: list[int], s: int, t: int, need: int) -> int:
         options.append(((masks[a] & side_t).bit_count(), a))
         side_s ^= low
     options.sort()
-    free, matched = side_t, 0
+    free = side_t
     for _, a in options:
         avail = masks[a] & free
         if avail:
             free ^= avail & -avail
-            matched += 1
-            if matched == need:
+            paths += 1
+            if paths == need:
                 break
-    return matched
+    return paths
 
 
 def _least_pair_connectivity(g: Graph, cap: int, stop: int) -> int:
     """min(cap, least local vertex connectivity over :func:`_separating_pairs`).
 
     Each pair is capped at the running minimum, and most pairs reach it
-    without a flow. A pair (s, t) with c common neighbours has c disjoint
-    paths s-c-t; one sparse product, A times the dense rows of the pairs'
-    first vertices (at most delta + 1 of them, so at most 2m + n entries),
-    counts them. A pair short of the minimum adds the paths s-a-b-t of a
-    greedy matching between the neighbours of s alone and those of t alone
-    (:func:`_matched_paths`, on neighbour bitmasks cut from
-    :func:`_packed_adjacency` at the first such pair); no vertex but s and t
-    lies on two of these paths, so by Menger's theorem their count is at most
-    kappa(s, t). The pairs still
-    short each take a maximum flow on one split network, built at the first
-    of them. Returns as soon as the minimum reaches ``stop``.
+    without a flow: :func:`_short_paths`, on neighbour bitmasks cut once from
+    :func:`_packed_adjacency`, finds disjoint paths s-c-t through the common
+    neighbours and s-a-b-t through a greedy matching, and by Menger's theorem
+    their count is at most kappa(s, t). The pairs still short each take a
+    maximum flow on one split network, built at the first of them. Returns as
+    soon as the minimum reaches ``stop``.
     """
+    if cap <= stop:
+        return cap
+    masks = [int.from_bytes(row, "little") for row in _packed_adjacency(g)]
     s, t = _separating_pairs(g)
-    adj = g._adjacency
-    firsts, column = np.unique(s, return_inverse=True)
-    common = (adj @ adj[firsts].toarray().T)[t, column]
-    least = cap
-    masks = net = None
-    for u, w, shared in zip(s.tolist(), t.tolist(), common.tolist()):
-        if least <= stop:
-            break
-        if shared >= least:
-            continue
-        if masks is None:
-            masks = [int.from_bytes(row, "little") for row in _packed_adjacency(g)]
-        need = least - int(shared)
-        if _matched_paths(masks, u, w, need) == need:
+    least, net = cap, None
+    for u, w in zip(s.tolist(), t.tolist()):
+        if _short_paths(masks, u, w, least) >= least:
             continue
         if net is None:
             net = _split_network(g)
         least = min(least, int(maximum_flow(net, 2 * u + 1, 2 * w).flow_value))
+        if least <= stop:
+            break
     return least
 
 
@@ -464,7 +457,7 @@ def vertex_connectivity(g: Graph) -> int:
     of a greedy matching between their other neighbours, give internally
     disjoint paths of length 2 and 3, at most kappa(s, t) of them, and a pair
     with as many as the running minimum cannot lower it (see
-    :func:`_least_pair_connectivity`).
+    :func:`_short_paths`).
     """
     n = g.n
     if n == 1 or not is_connected(g):
@@ -481,7 +474,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     vertices separate. A pair needs no flow when its common neighbours and
     the edges of a greedy matching between the other neighbours of its ends
     give k internally disjoint paths of length 2 and 3, since fewer than k
-    vertices cannot cut them all (see :func:`_least_pair_connectivity`).
+    vertices cannot cut them all (see :func:`_short_paths`).
     """
     if k <= 0:
         return True

@@ -18,6 +18,7 @@ import csv
 import io
 import math
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -107,6 +108,8 @@ class ThresholdSpec:
         table = tuple(sorted((int(k), float(v)) for k, v in values.items()))
         if not table:
             raise ValueError("custom table must not be empty")
+        if not all(math.isfinite(v) for _, v in table):
+            raise ValueError("key 'table': every value must be finite")
         return ThresholdSpec(family=CUSTOM, regime=regime, ell=ell, table=table)
 
     def f_value(self, n: int) -> float:
@@ -285,8 +288,8 @@ class SweepConfig:
             raise ValueError("all n values must be positive")
         if not self.multiplier_list:
             raise ValueError("multiplier_list must not be empty")
-        if any(not (x > 0) for x in self.multiplier_list):
-            raise ValueError("multipliers must be positive")
+        if any(not (0 < x < math.inf) for x in self.multiplier_list):
+            raise ValueError("multipliers must be positive and finite")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not (0 <= self.master_seed < 1 << 64):
@@ -400,7 +403,8 @@ def sweep(config: SweepConfig) -> SweepReport:
     ]
     tallies = [[0, 0, 0] for _ in cells]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # the pool forks all its processes at once: never more than the cores
+        with ProcessPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool:
             parts = list(pool.map(_trial_batch, jobs))
     else:
         parts = map(_trial_batch, jobs)
@@ -453,8 +457,8 @@ def estimate_transition(
     if not (tolerance > 0):
         raise ValueError("tolerance must be positive")
     lo, hi = bracket if bracket is not None else default_bracket(spec)
-    if not (0 < lo < hi):
-        raise ValueError("bracket must satisfy 0 < lo < hi")
+    if not (0 < lo < hi < math.inf):
+        raise ValueError("bracket must satisfy 0 < lo < hi < inf")
     if hi - lo <= tolerance:
         return (lo, hi)
 

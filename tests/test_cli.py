@@ -350,6 +350,20 @@ def test_sweep_bad_value_names_the_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_non_finite_values(tmp_path, capsys):
+    # the sidecar would otherwise hold Infinity or NaN, which JSON cannot carry
+    out = tmp_path / "o.csv"
+    for spec, key in (("family = nlogn\nmultipliers = 1,inf\n", "multipliers"),
+                      ("family = nlogn\nmultipliers = nan\n", "multipliers"),
+                      ("family = custom\nregime = sparse\ntable = 100:nan\n", "'table'"),
+                      ("family = custom\nregime = sparse\ntable = 100:inf\n", "'table'")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{spec}n = 100\nmaster_seed = 1\noutput = {out}\n")
+        assert run(["sweep", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "o.csv.json").exists()
+
+
 def test_sweep_missing_required_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("family = constant\nc = 1\nn = 300\noutput = o.csv\n")

@@ -345,7 +345,7 @@ def test_connectivity_runs_esfahanian_hakimi_flows_on_one_network(monkeypatch):
         assert [pair for pair, _ in flows] == taken, h
 
 
-def test_matched_paths_never_exceed_local_connectivity():
+def test_short_paths_never_exceed_local_connectivity():
     rng = np.random.default_rng(8128)
     cases = connected_non_complete(range(3, 6))
     for n in (6, 7, 8):
@@ -363,10 +363,10 @@ def test_matched_paths_never_exceed_local_connectivity():
         for s, t in oracles.all_pairs(h.n):
             if t in adj[s]:
                 continue
-            paths = graphs._matched_paths(masks, s, t, h.n)
-            kappa = oracles.brute_local_connectivity(h.n, edges, s, t)
-            assert len(adj[s] & adj[t]) + paths <= kappa, (h, s, t)
-            beyond_shared += paths > 0
+            paths = graphs._short_paths(masks, s, t, h.n)
+            shared = len(adj[s] & adj[t])
+            assert shared <= paths <= oracles.brute_local_connectivity(h.n, edges, s, t), (h, s, t)
+            beyond_shared += paths > shared
     assert beyond_shared > 100
 
 

@@ -71,6 +71,9 @@ def test_spec_validation():
         ThresholdSpec.custom({100: 5.0}, "MEDIUM")
     with pytest.raises(ValueError, match="'ell'"):  # a SPARSE spec never reads ell
         ThresholdSpec.custom({100: 5.0}, SPARSE, ell=-4)
+    for value in (math.nan, math.inf, -math.inf):  # JSON has no spelling for these
+        with pytest.raises(ValueError, match="'table'"):
+            ThresholdSpec.custom({100: 5.0, 200: value}, SPARSE)
 
 
 def test_f_value_and_range():
@@ -332,6 +335,9 @@ def test_sweep_config_validation():
     ):
         with pytest.raises(ValueError):
             SweepConfig(**bad)
+    for multiplier in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="multipliers"):
+            SweepConfig(**{**base, "multiplier_list": (1.0, multiplier)})
     # non-integers are refused at construction, never truncated or left for sweep()
     for key, value in (("n_list", (100.7,)), ("trials", 2.5), ("master_seed", 1.5),
                        ("workers", 2.0)):
@@ -372,6 +378,31 @@ def test_sweep_workers_do_not_change_output():
     rows = reports[0].rows
     assert [row.error is not None for row in rows] == [True] * 3 + [False] * 3
     assert [row.clamped for row in rows] == [False] * 5 + [True]
+
+
+def test_sweep_pool_never_exceeds_the_cores(monkeypatch):
+    started = []
+
+    class RecordingPool:  # runs the map in this process: no worker is ever started
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(mclab.threshold, "ProcessPoolExecutor", RecordingPool)
+    base = dict(spec=NLOGN1, n_list=(200,), multiplier_list=(1.0, 5.0), trials=24, master_seed=4)
+    serial = sweep(SweepConfig(**base)).to_csv()
+    for cores, workers, pool in ((3, 100000, 3), (None, 100000, 1), (8, 2, 2)):
+        monkeypatch.setattr(mclab.threshold.os, "cpu_count", lambda: cores)
+        assert sweep(SweepConfig(**base, workers=workers)).to_csv() == serial
+        assert started.pop() == pool and not started
 
 
 def test_sweep_marks_failed_rows_and_continues():
@@ -446,6 +477,17 @@ def test_estimate_transition_rejects_bad_input():
         estimate_transition(NLOGN1, 300, 10, 0, master_seed=0)
     with pytest.raises(ValueError):
         estimate_transition(NLOGN1, 300, 10, 0.5, master_seed=0, bracket=(3.0, 2.0))
+
+
+def test_estimate_transition_rejects_an_infinite_bracket(monkeypatch):
+    # bisecting (1, inf) would keep mid = inf and never narrow the bracket
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(mclab.threshold, "run_trial", no_trials)
+    for bracket in ((1.0, math.inf), (1.0, math.nan), (math.nan, 2.0)):
+        with pytest.raises(ValueError, match="bracket"):
+            estimate_transition(NLOGN1, 300, 10, 0.5, master_seed=0, bracket=bracket)
 
 
 def test_estimate_transition_rejects_non_straddling_bracket():
