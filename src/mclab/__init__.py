@@ -33,9 +33,6 @@ from .threshold import (
     chernoff_upper_tail,
     connectivity_prob_limit,
     decide_mc_at_least,
-    default_bracket,
-    default_upper_multiplier,
-    estimate_transition,
     run_trial,
     sweep,
     threshold_p,
@@ -64,9 +61,6 @@ __all__ = [
     "connectivity_prob_limit",
     "cycle_graph",
     "decide_mc_at_least",
-    "default_bracket",
-    "default_upper_multiplier",
-    "estimate_transition",
     "exact_mc_small",
     "exactness_certificate",
     "first_uncovered_pair",

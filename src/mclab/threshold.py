@@ -392,9 +392,7 @@ def sweep(config: SweepConfig) -> SweepReport:
             p = multiplier * base_p
             cells.append((n, multiplier, min(1.0, p), p > 1.0, None))
 
-    step = config.trials
-    if config.workers > 1:
-        step = max(1, math.ceil(config.trials / (config.workers * 4)))
+    step = max(1, math.ceil(config.trials / (config.workers * 4)))
     jobs = [
         (config, n, p, row_index, start, min(start + step, config.trials))
         for row_index, (n, _, p, _, error) in enumerate(cells)
@@ -419,72 +417,3 @@ def sweep(config: SweepConfig) -> SweepReport:
     )
     return SweepReport(config=config, rows=rows)
 
-
-def default_upper_multiplier(spec: ThresholdSpec) -> float:
-    """Multiplier above which the YES side is provably w.h.p.
-
-    DENSE uses the proof constant: 5 when ell >= 1, else 5/ell. SPARSE uses 3,
-    comfortably past the connectivity threshold where the edge-count bound
-    takes over.
-    """
-    if spec.regime == DENSE:
-        return 5.0 if spec.ell >= 1 else 5.0 / spec.ell
-    return 3.0
-
-
-def default_bracket(spec: ThresholdSpec) -> tuple[float, float]:
-    if spec.regime == DENSE:
-        return (1.0, default_upper_multiplier(spec))
-    return (0.5, 3.0)
-
-
-def estimate_transition(
-    spec: ThresholdSpec,
-    n: int,
-    trials: int,
-    tolerance: float,
-    master_seed: int,
-    bracket: Optional[tuple[float, float]] = None,
-) -> tuple[float, float]:
-    """Bisect the multiplier until the empirical YES fraction crosses one half.
-
-    Assumes frac_yes is non-decreasing in the multiplier (the property is
-    monotone in p). A bracket no wider than the tolerance is returned as-is,
-    before any sampling. Endpoints on the same strict side of 1/2 are an error.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not (tolerance > 0):
-        raise ValueError("tolerance must be positive")
-    lo, hi = bracket if bracket is not None else default_bracket(spec)
-    if not (0 < lo < hi < math.inf):
-        raise ValueError("bracket must satisfy 0 < lo < hi < inf")
-    if hi - lo <= tolerance:
-        return (lo, hi)
-
-    base_p = threshold_p(spec, n)
-    evaluations = 0
-
-    def frac_yes(multiplier: float) -> float:
-        # one sweep row per evaluation, its row index the evaluation count
-        nonlocal evaluations
-        config = SweepConfig(spec, (n,), (multiplier,), trials, master_seed)
-        p = min(1.0, multiplier * base_p)
-        yes, _, _ = _trial_batch((config, n, p, evaluations, 0, trials))
-        evaluations += 1
-        return yes / trials
-
-    f_lo = frac_yes(lo)
-    f_hi = frac_yes(hi)
-    if (f_lo - 0.5) * (f_hi - 0.5) > 0:
-        raise ValueError(
-            f"bracket does not straddle 1/2: frac_yes({lo}) = {f_lo}, "
-            f"frac_yes({hi}) = {f_hi}"
-        )
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2
-        if frac_yes(mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return (lo, hi)

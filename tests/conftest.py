@@ -11,8 +11,8 @@ def block_bytes(request, monkeypatch):
     """Run the test with the library's block size, then with 64-byte blocks.
 
     Tiny blocks send every block loop of the array checks (the verifier's row
-    scan, the diameter and triangle tests) through many short blocks, and move
-    triangle tests on graphs with n >= 22 onto the sparse-product path.
+    scan, the diameter and far-pair tests, and the triangle test, whose blocks
+    then take about 8 multiplications each) through many short blocks.
     """
     if request.param is not None:
         monkeypatch.setattr(mclab.graphs, "_BLOCK_BYTES", request.param)

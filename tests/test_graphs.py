@@ -251,14 +251,42 @@ def test_far_pair_matches_brute_diameter_sampled(block_bytes):
             assert _has_far_pair(g) == (brute >= 3)
 
 
+def hub_triangle(rng, k, closed):
+    """Hubs 0, 1, 2 on the path 0-1-2, each joined to its own k leaves, with
+    random edges between the leaves of hubs 0 and 1, labels shuffled. With
+    ``closed`` the edge 0-2 makes the hubs the one triangle, and the three
+    hubs tie for the highest degree, k + 2 against at most k + 1."""
+    n = 3 + 3 * k
+    groups = [range(3 + i * k, 3 + (i + 1) * k) for i in range(3)]
+    edges = [(0, 1), (1, 2)] + ([(0, 2)] if closed else [])
+    edges += [(hub, leaf) for hub, group in enumerate(groups) for leaf in group]
+    edges += [(a, b) for a in groups[0] for b in groups[1] if rng.random() < 0.5]
+    label = rng.permutation(n).tolist()
+    return Graph.from_pairs(n, [(label[u], label[v]) for u, v in edges])
+
+
 def test_triangle_free_matches_brute_force_up_to_n40(block_bytes):
     rng = np.random.default_rng(404)
-    outcomes = set()
+    cases = []
     for _ in range(80):
         n = int(rng.integers(1, 41))
-        g = sample_gnp(n, rng.uniform(0.0, 0.25), RngSeed(404, int(rng.integers(1 << 30))))
+        seed = RngSeed(404, int(rng.integers(1 << 30)))
+        cases.append(sample_gnp(n, rng.uniform(0.0, 0.25), seed))
+    # dense but triangle-free: complete bipartite graphs, even cycles, and the
+    # edges of dense samples that join an even vertex to an odd one
+    cases += [Graph.from_pairs(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+              for a in range(1, 9) for b in range(a, 9)]
+    cases += [cycle_graph(n) for n in range(4, 41, 2)]
+    for _ in range(30):
+        n = int(rng.integers(2, 41))
+        g = sample_gnp(n, rng.uniform(0.2, 0.9), RngSeed(405, int(rng.integers(1 << 30))))
+        cases.append(Graph(n, [(u, v) for u, v in g.edges if (u + v) % 2]))
+    # the one triangle, if any, on the vertices that rank highest
+    cases += [hub_triangle(rng, k, closed) for k in range(1, 13) for closed in (True, False)]
+    outcomes = set()
+    for g in cases:
         free = is_triangle_free(g)
-        assert free == oracles.brute_triangle_free(n, list(g.edges))
+        assert free == oracles.brute_triangle_free(g.n, list(g.edges)), g
         outcomes.add(free)
     assert outcomes == {True, False}
 

@@ -28,9 +28,6 @@ from mclab.threshold import (
     chernoff_upper_tail,
     connectivity_prob_limit,
     decide_mc_at_least,
-    default_bracket,
-    default_upper_multiplier,
-    estimate_transition,
     run_trial,
     sweep,
     threshold_p,
@@ -449,73 +446,3 @@ def test_sweep_monotone_frac_yes():
         se = math.sqrt(max(pooled * (1 - pooled), 1e-9) / 500)
         assert a - b <= 2 * 2 * se
 
-
-# -------------------------------------------------------------- transitions
-
-
-def test_default_multipliers_and_brackets():
-    assert default_upper_multiplier(NLOGN1) == 5.0
-    assert default_upper_multiplier(ThresholdSpec.nlogn(0.5)) == 10.0
-    assert default_upper_multiplier(ThresholdSpec.nlogn(2.0)) == 5.0
-    assert default_upper_multiplier(ThresholdSpec.constant(1)) == 3.0
-    assert default_bracket(NLOGN1) == (1.0, 5.0)
-    assert default_bracket(ThresholdSpec.power(1.0)) == (0.5, 3.0)
-
-
-def test_estimate_transition_degenerate_bracket_short_circuits():
-    # returned before any sampling, even when n is below the formula domain
-    assert estimate_transition(NLOGN1, 5, 10, 10.0, master_seed=0) == (1.0, 5.0)
-    assert estimate_transition(
-        NLOGN1, 300, 10, 0.5, master_seed=0, bracket=(2.0, 2.4)
-    ) == (2.0, 2.4)
-
-
-def test_estimate_transition_rejects_bad_input():
-    with pytest.raises(ValueError):
-        estimate_transition(NLOGN1, 300, 0, 0.5, master_seed=0)
-    with pytest.raises(ValueError):
-        estimate_transition(NLOGN1, 300, 10, 0, master_seed=0)
-    with pytest.raises(ValueError):
-        estimate_transition(NLOGN1, 300, 10, 0.5, master_seed=0, bracket=(3.0, 2.0))
-
-
-def test_estimate_transition_rejects_an_infinite_bracket(monkeypatch):
-    # bisecting (1, inf) would keep mid = inf and never narrow the bracket
-    def no_trials(*args):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(mclab.threshold, "run_trial", no_trials)
-    for bracket in ((1.0, math.inf), (1.0, math.nan), (math.nan, 2.0)):
-        with pytest.raises(ValueError, match="bracket"):
-            estimate_transition(NLOGN1, 300, 10, 0.5, master_seed=0, bracket=bracket)
-
-
-def test_estimate_transition_rejects_non_straddling_bracket():
-    with pytest.raises(ValueError, match="straddle"):
-        estimate_transition(
-            ThresholdSpec.power(1.0), 2000, 30, 0.05, master_seed=11, bracket=(2.5, 3.0)
-        )
-
-
-def test_estimate_transition_seeds_one_sweep_row_per_evaluation(monkeypatch):
-    seeds = []
-
-    def recording_seed(master_seed, row_index, trial_index):
-        seeds.append((master_seed, row_index, trial_index))
-        return trial_seed(master_seed, row_index, trial_index)
-
-    monkeypatch.setattr(mclab.threshold, "trial_seed", recording_seed)
-    assert estimate_transition(NLOGN1, 300, 20, 0.3, master_seed=3) == (1.75, 2.0)  # pinned
-    rows = len(seeds) // 20
-    assert rows >= 3 and seeds == [(3, r, t) for r in range(rows) for t in range(20)]
-
-
-def test_estimate_transition_brackets_the_crossing():
-    lo, hi = estimate_transition(NLOGN1, 300, 60, 0.5, master_seed=31415)
-    assert 1.0 <= lo < hi <= 5.0
-    assert hi - lo <= 0.5
-    lo2, hi2 = estimate_transition(
-        ThresholdSpec.power(1.0), 500, 60, 0.25, master_seed=27182, bracket=(0.5, 3.0)
-    )
-    assert 0.5 <= lo2 < hi2 <= 3.0
-    assert hi2 - lo2 <= 0.25
