@@ -258,8 +258,10 @@ def exactness_certificate(
     fires) when n > kappa_cap.
 
     Condition (d) runs no BFS: on a connected graph, diameter >= 3 holds iff
-    some two vertices have no common neighbour and no edge, which row blocks of
-    (A + I)^2 reveal as a row with fewer than n non-zeros.
+    some two vertices have no common neighbour and no edge. Each vertex ORs
+    the neighbour bitmasks of its neighbours into its own closed
+    neighbourhood until the union holds every vertex, and a vertex whose
+    neighbours run out first has a far partner (see :func:`_has_far_pair`).
 
     Condition (e) runs no depth-first search either, because it is reached only
     with diameter <= 2. If removing v leaves x and y in different components,

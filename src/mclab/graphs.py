@@ -6,8 +6,10 @@ immutable after construction and safe to share between threads or processes.
 
 A ``Graph`` caches, on first use, its degrees, whether it is connected, and one
 symmetric CSR adjacency matrix with sorted rows that the neighbourhood queries
-read. The triangle test reads none of it but the degrees: it orients the edge
-array into a CSR of its own.
+read. Vertex connectivity and the far-pair test behind certificate (d) read
+neighbourhoods as Python-int bitmasks, which one builder cuts from that CSR a
+block of rows at a time. The triangle test reads none of it but the degrees:
+it orients the edge array into a CSR of its own.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ MAX_VERTICES = 1 << 20
 MAX_EDGES = 1 << 28
 
 # working memory, in bytes, of one block of the array checks: the row blocks of
-# the diameter and triangle tests here and of the coloring verifier
+# the diameter and triangle tests and of the neighbour masks here, and of the
+# coloring verifier
 _BLOCK_BYTES = 1 << 20
 
 DEFAULT_CHI_CAP = 16  # exact chromatic number is exponential in n
@@ -280,32 +283,68 @@ def _neighbour_lists(g: Graph) -> list[list[int]]:
     return [flat[start:end] for start, end in zip(ends, ends[1:])]
 
 
+def _neighbour_masks(g: Graph, start: int, stop: int) -> list[int]:
+    """Neighbour bitmasks of the vertices start..stop-1: bit u of the int for
+    v is set iff u ~ v.
+
+    The rows are cut from the CSR a block of about ``_BLOCK_BYTES`` of bool at a
+    time and packed to bytes, so besides the masks themselves the build holds
+    one block, whatever n.
+    """
+    n, adj = g.n, g._adjacency
+    rows, width = max(1, _BLOCK_BYTES // n), (n + 7) // 8
+    masks = []
+    for lo in range(start, stop, rows):
+        hi = min(lo + rows, stop)
+        ends = adj.indptr[lo : hi + 1]
+        block = np.zeros((hi - lo, n), dtype=bool)
+        block[np.repeat(np.arange(hi - lo), np.diff(ends)), adj.indices[ends[0] : ends[-1]]] = True
+        packed = np.packbits(block, axis=1, bitorder="little").tobytes()
+        masks += [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+    return masks
+
+
 def _has_far_pair(g: Graph) -> bool:
     """True iff two distinct vertices have no path of length at most 2 between them.
 
-    On a connected graph this is exactly ``diameter(g) >= 3``. Row x of
-    (A + I)^2 is non-zero exactly at the vertices within distance 2 of x, so a
-    row with fewer than n non-zeros answers yes. The rows are formed a block at
-    a time as A B + B, where B holds the block's dense columns of A + I (the
-    matrix is symmetric), so the extra memory is about 3 MiB per block, for any n.
+    On a connected graph this is exactly ``diameter(g) >= 3``. A vertex of
+    degree n - 1 puts every pair within distance 2, so it answers no at once.
+    Otherwise each vertex x ORs into its closed neighbourhood N[x] the
+    neighbour masks of its neighbours, ascending, and stops as soon as the
+    union holds every vertex; a row that runs out of neighbours first answers
+    yes. The masks come from :func:`_neighbour_masks` a block of rows at a
+    time, and a block is built only when a row first reads one of its masks,
+    so a graph with a far pair near the start builds few of them. With no far
+    pair every block gets built: n^2/8 bytes of masks, as kappa's take.
+    :func:`~mclab.coloring.exactness_certificate` reaches this test only when
+    2m >= (n - Delta)(n - 3) + 3(n - 1), so the masks outgrow the 16m bytes
+    of the edge array only when Delta exceeds about n - n/64.
     """
-    n, adj = g.n, g._adjacency
-    rows = max(1, _BLOCK_BYTES // (4 * n))
-    for start in range(0, n, rows):
-        near = adj[start : start + rows].toarray().T
-        near[np.arange(start, start + near.shape[1]), np.arange(near.shape[1])] = 1
-        if not (adj @ near + near).all():
-            return True
+    n = g.n
+    if max_degree(g) == n - 1:
+        return False
+    rows, full = max(1, _BLOCK_BYTES // n), (1 << n) - 1
+    masks: list[int | None] = [None] * n
+
+    def mask(v: int) -> int:
+        found = masks[v]
+        if found is None:
+            lo = v - v % rows
+            hi = min(lo + rows, n)
+            masks[lo:hi] = _neighbour_masks(g, lo, hi)
+            found = masks[v]
+        return found
+
+    for x in range(n):
+        rest = mask(x)
+        reach = rest | (1 << x)
+        while reach != full:
+            if not rest:
+                return True
+            low = rest & -rest
+            reach |= mask(low.bit_length() - 1)
+            rest ^= low
     return False
-
-
-def _packed_adjacency(g: Graph) -> np.ndarray:
-    """n x ceil(n/8) uint8 array; bit v % 8 of byte v // 8 in row u is set iff u ~ v."""
-    heads = np.repeat(np.arange(g.n), g.degrees)
-    tails = g._adjacency.indices
-    bits = np.zeros((g.n, (g.n + 7) // 8), dtype=np.uint8)
-    np.bitwise_or.at(bits, (heads, tails >> 3), np.left_shift(1, tails & 7).astype(np.uint8))
-    return bits
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -318,8 +357,11 @@ def is_triangle_free(g: Graph) -> bool:
     some row block of L @ L shares an entry with L. Row x of the product takes
     one multiplication per out-edge of each out-neighbour of x, row x of
     L @ outdeg, and the degree order keeps each out-degree at most sqrt(2m).
-    Blocks are cut by that count to about 1 MiB of product entries each,
-    whatever n, and the test stops at the first block with a triangle.
+    Blocks are cut by that count: the first to 1/64 of 1 MiB of product
+    entries, each next one to twice its predecessor's share up to 1 MiB,
+    whatever n. The test stops at the first block with a triangle, so an
+    early triangle costs only a small block, while the six growing blocks of
+    a triangle-free scan together hold about as much work as one full block.
     """
     n, arr = g.n, g.edge_array
     rank = np.empty(n, dtype=np.int64)
@@ -331,14 +373,14 @@ def is_triangle_free(g: Graph) -> bool:
     forward = csr_matrix((ones, keys % n, np.searchsorted(keys, np.arange(n + 1) * n)), (n, n))
     work = np.cumsum(forward @ np.diff(forward.indptr).astype(np.float64))
     limit = max(1, _BLOCK_BYTES // 8)  # an entry takes an int32 index and a float32 value
-    start = 0
+    budget, start = max(1, limit >> 6), 0
     while start < n:
         done = work[start - 1] if start else 0.0
-        stop = max(start + 1, int(np.searchsorted(work, done + limit, side="right")))
+        stop = max(start + 1, int(np.searchsorted(work, done + budget, side="right")))
         block = forward[start:stop]
         if (block @ forward).multiply(block).count_nonzero():
             return False
-        start = stop
+        budget, start = min(2 * budget, limit), stop
     return True
 
 
@@ -426,8 +468,8 @@ def _least_pair_connectivity(g: Graph, cap: int, stop: int) -> int:
     """min(cap, least local vertex connectivity over :func:`_separating_pairs`).
 
     Each pair is capped at the running minimum, and most pairs reach it
-    without a flow: :func:`_short_paths`, on neighbour bitmasks cut once from
-    :func:`_packed_adjacency`, finds disjoint paths s-c-t through the common
+    without a flow: :func:`_short_paths`, on the neighbour bitmasks of all n
+    vertices from :func:`_neighbour_masks`, finds disjoint paths s-c-t through the common
     neighbours and s-a-b-t through a greedy matching, and by Menger's theorem
     their count is at most kappa(s, t). The pairs still short each take a
     maximum flow on one split network, built at the first of them. Returns as
@@ -435,7 +477,7 @@ def _least_pair_connectivity(g: Graph, cap: int, stop: int) -> int:
     """
     if cap <= stop:
         return cap
-    masks = [int.from_bytes(row, "little") for row in _packed_adjacency(g)]
+    masks = _neighbour_masks(g, 0, g.n)
     s, t = _separating_pairs(g)
     least, net = cap, None
     for u, w in zip(s.tolist(), t.tolist()):

@@ -11,8 +11,9 @@ def block_bytes(request, monkeypatch):
     """Run the test with the library's block size, then with 64-byte blocks.
 
     Tiny blocks send every block loop of the array checks (the verifier's row
-    scan, the diameter and far-pair tests, and the triangle test, whose blocks
-    then take about 8 multiplications each) through many short blocks.
+    scan, the diameter test, the triangle test, whose blocks then take about 8
+    multiplications each, and the neighbour masks of kappa and the far-pair
+    test, built one row per block) through many short blocks.
     """
     if request.param is not None:
         monkeypatch.setattr(mclab.graphs, "_BLOCK_BYTES", request.param)

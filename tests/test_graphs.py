@@ -251,6 +251,52 @@ def test_far_pair_matches_brute_diameter_sampled(block_bytes):
             assert _has_far_pair(g) == (brute >= 3)
 
 
+def test_neighbour_masks_are_the_edge_set_bits(block_bytes):
+    rng = np.random.default_rng(8128)
+    cases = [Graph(1), Graph(9, [(0, 8)]), petersen_graph(), star_graph(17)]
+    cases += [sample_gnp(n, p, RngSeed(8128, n)) for n, p in ((13, 0.4), (70, 0.1), (130, 0.6))]
+    for g in cases:
+        expected = [0] * g.n
+        for u, v in g.edge_set:
+            expected[u] |= 1 << v
+            expected[v] |= 1 << u
+        assert graphs._neighbour_masks(g, 0, g.n) == expected, g
+        start = int(rng.integers(0, g.n))
+        stop = int(rng.integers(start, g.n + 1))
+        assert graphs._neighbour_masks(g, start, stop) == expected[start:stop], (g, start, stop)
+
+
+def test_far_pair_matches_diameter_on_graphs_up_to_n400(block_bytes):
+    rng = np.random.default_rng(2003)
+    outcomes = set()
+    for i in range(20):
+        n = int(rng.integers(100, 401))
+        # sparse samples have far pairs; from p = 0.4 on they have diameter 2,
+        # so every row block gets built; the path keeps each sample connected
+        p = rng.uniform(0.03, 0.2) if i % 2 else rng.uniform(0.4, 0.7)
+        g = sample_gnp(n, p, RngSeed(2003, i))
+        g = Graph.from_pairs(n, g.edge_set | {(v, v + 1) for v in range(n - 1)})
+        far = _has_far_pair(g)
+        assert far == (diameter(g) >= 3), (g, p)
+        outcomes.add(far)
+    assert outcomes == {True, False}
+
+
+def test_far_pair_hub_shortcut(block_bytes, monkeypatch):
+    n = 300
+    leaves = [(0, v) for v in range(1, n)]
+    missed = Graph(n, leaves[:-1] + [(1, n - 1)])  # hub 0 misses n-1, which is 3 from 2
+    assert _has_far_pair(missed)
+    assert diameter(missed) == 3
+
+    def refuse(*args):
+        raise AssertionError("a vertex of degree n - 1 needs no masks")
+
+    monkeypatch.setattr(graphs, "_neighbour_masks", refuse)
+    assert not _has_far_pair(star_graph(n))
+    assert not _has_far_pair(missed.with_edge(0, n - 1))
+
+
 def hub_triangle(rng, k, closed):
     """Hubs 0, 1, 2 on the path 0-1-2, each joined to its own k leaves, with
     random edges between the leaves of hubs 0 and 1, labels shuffled. With
