@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -73,7 +74,8 @@ class EdgeColoring:
 
     Labels are contiguous integers 0..k-1 in first-occurrence order along the
     canonical edge sequence. Use :meth:`from_labels` to canonicalize arbitrary
-    label values.
+    label values. They are kept as one read-only int64 array, which equality,
+    hashing and the verifier read; ``labels`` is its tuple of Python ints.
     """
 
     def __init__(self, graph: Graph, labels: Sequence[int]):
@@ -86,11 +88,10 @@ class EdgeColoring:
             raise ValueError(
                 f"coloring has {len(labels)} labels but the graph has {graph.m} edges"
             )
-        num_colors = 0
+        arr, num_colors = np.array(labels), 0  # object dtype past int64
         if labels:
             # first-occurrence order: labels >= 0, the first 0, and each at most
-            # one above the largest label before it (object dtype past int64)
-            arr = np.array(labels)
+            # one above the largest label before it
             bound = np.maximum.accumulate(arr)
             bound += 1
             if arr[0] != 0 or arr.min() < 0 or (arr[1:] > bound[:-1]).any():
@@ -100,8 +101,9 @@ class EdgeColoring:
                 )
             num_colors = int(bound[-1])
         self.graph = graph
-        self.labels = labels
         self.num_colors = num_colors
+        self._array = arr.astype(np.int64, copy=False)  # each label is below m <= 2^28
+        self._array.flags.writeable = False
 
     @classmethod
     def from_labels(cls, graph: Graph, raw: Iterable[object]) -> "EdgeColoring":
@@ -114,16 +116,20 @@ class EdgeColoring:
             canon.append(mapping[lab])
         return cls(graph, canon)
 
+    @cached_property
+    def labels(self) -> tuple[int, ...]:
+        return tuple(self._array.tolist())
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EdgeColoring):
             return NotImplemented
-        return self.graph == other.graph and self.labels == other.labels
+        return self.graph == other.graph and np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
-        return hash((self.graph, self.labels))
+        return hash((self.graph, self._array.tobytes()))
 
     def __repr__(self) -> str:
-        return f"EdgeColoring(k={self.num_colors}, m={len(self.labels)})"
+        return f"EdgeColoring(k={self.num_colors}, m={self._array.shape[0]})"
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,7 @@ def first_uncovered_pair(g: Graph, c: EdgeColoring) -> Optional[tuple[int, int]]
     if n == 1:
         return None
     arr = g.edge_array
-    labels = np.asarray(c.labels, dtype=np.int64)
+    labels = c._array
     # the candidate classes side by side: class big[i] on nodes i*n .. i*n + n - 1
     big = np.flatnonzero(np.bincount(labels, minlength=c.num_colors) >= n - 1)
     if big.size:

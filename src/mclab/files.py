@@ -91,9 +91,10 @@ def read_coloring(path: str | Path, g: Graph) -> EdgeColoring:
         labels.append(lab)
     if len(labels) != g.m:
         raise FormatError(f"coloring has {len(labels)} labels but the graph has {g.m} edges")
-    if len(set(labels)) != k:
-        raise FormatError(f"header declares {k} colors but {len(set(labels))} distinct labels appear")
-    return EdgeColoring.from_labels(g, labels)
+    coloring = EdgeColoring.from_labels(g, labels)
+    if coloring.num_colors != k:
+        raise FormatError(f"header declares {k} colors but {coloring.num_colors} distinct labels appear")
+    return coloring
 
 
 def write_coloring(c: EdgeColoring, path: str | Path) -> None:

@@ -6,10 +6,10 @@ immutable after construction and safe to share between threads or processes.
 
 A ``Graph`` caches, on first use, its degrees, whether it is connected, and one
 symmetric CSR adjacency matrix with sorted rows that the neighbourhood queries
-read. Vertex connectivity and the far-pair test behind certificate (d) read
-neighbourhoods as Python-int bitmasks, which one builder cuts from that CSR a
-block of rows at a time. The triangle test reads none of it but the degrees:
-it orients the edge array into a CSR of its own.
+read. Vertex connectivity, the far-pair test behind certificate (d) and the
+chromatic number read neighbourhoods as Python-int bitmasks, which one builder
+cuts from that CSR a block of rows at a time. The triangle test reads none of
+it but the degrees: it orients the edge array into a CSR of its own.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ class Graph:
     def _adjacency(self) -> csr_matrix:
         """Symmetric float32 CSR adjacency matrix, each row's columns ascending.
 
-        Products of it count walks of length at most 2, so every entry read is
-        at most n + 1 <= 2^24, which float32 holds exactly."""
+        Only its structure is read, never its values: by the spanning-tree BFS,
+        ``diameter``, the mask builder, kappa's pair list and the cut-vertex DFS."""
         arr, n = self._array, self.n
         ones = np.ones(arr.shape[0], dtype=np.float32)
         # the canonical edge array is the upper triangle in CSR order
@@ -196,15 +196,13 @@ def max_degree(g: Graph) -> int:
 def spanning_tree(g: Graph) -> tuple[EdgePair, ...]:
     """Deterministic spanning tree: breadth-first from vertex 0, neighbors ascending.
 
-    Returns the tree's edges in canonical order; raises for disconnected input.
-    The search runs on the graph's CSR, whose rows are sorted, so it visits each
-    vertex's neighbours in ascending order.
+    Returns the tree's edges in canonical order, and raises when the search
+    reaches fewer than n vertices. It runs on the graph's CSR, whose rows are
+    sorted, so it visits each vertex's neighbours in ascending order.
     """
-    if not is_connected(g):
+    order, pred = breadth_first_order(g._adjacency, 0, directed=True, return_predecessors=True)
+    if order.size < g.n:
         raise NotConnectedError("graph is not connected")
-    if g.n == 1:
-        return ()
-    _, pred = breadth_first_order(g._adjacency, 0, directed=True, return_predecessors=True)
     child = np.arange(1, g.n)
     parent = pred[1:].astype(np.int64)
     lo, hi = np.minimum(parent, child), np.maximum(parent, child)
@@ -233,7 +231,8 @@ def diameter(g: Graph) -> int | float:
 def articulation_points(g: Graph) -> tuple[int, ...]:
     """Vertices whose removal increases the component count (iterative DFS)."""
     n = g.n
-    adj = _neighbour_lists(g)
+    flat, ends = g._adjacency.indices.tolist(), g._adjacency.indptr.tolist()
+    adj = [flat[start:end] for start, end in zip(ends, ends[1:])]
     disc = [-1] * n
     low = [0] * n
     is_ap = [False] * n
@@ -275,12 +274,6 @@ def articulation_points(g: Graph) -> tuple[int, ...]:
 def has_cut_vertex(g: Graph) -> bool:
     """True iff removing some single vertex disconnects its component."""
     return bool(articulation_points(g))
-
-
-def _neighbour_lists(g: Graph) -> list[list[int]]:
-    """Each vertex's neighbours, ascending, as Python lists cut from the CSR rows."""
-    flat, ends = g._adjacency.indices.tolist(), g._adjacency.indptr.tolist()
-    return [flat[start:end] for start, end in zip(ends, ends[1:])]
 
 
 def _neighbour_masks(g: Graph, start: int, stop: int) -> list[int]:
@@ -532,53 +525,49 @@ def is_k_connected(g: Graph, k: int) -> bool:
 
 
 def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> int:
-    """Exact chromatic number by branch-and-bound; exhaustive, so capped by n."""
+    """Exact chromatic number by backtracking; exhaustive, so capped by n.
+
+    Vertices go in (-degree, vertex) order into color classes held as vertex
+    bitmasks, and k rises from a greedy clique's size until a k-coloring is
+    found. No upper bound is needed: each vertex tries the open classes before
+    it opens one, so the first descent is first-fit in the same order, and at
+    the first-fit color count the search succeeds without backtracking.
+    """
     n = g.n
     if n > cap:
         raise CapExceededError(f"graph too large for exact chromatic number (n={n} > cap={cap})")
     if g.m == 0:
         return 1
-    adj = _neighbour_lists(g)
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-
-    clique: list[int] = []
+    masks = _neighbour_masks(g, 0, n)
+    order = np.argsort(-g.degrees, kind="stable").tolist()
+    clique = 0
     for v in order:
-        if all(u in adj[v] for u in clique):
-            clique.append(v)
-    lower = len(clique)
+        if clique & ~masks[v] == 0:
+            clique |= 1 << v
+    classes: list[int] = []  # each failed search pops every class it opens
 
-    color = [-1] * n
-    for v in order:
-        taken = {color[u] for u in adj[v] if color[u] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        color[v] = c
-    upper = max(color) + 1
-
-    def colorable(k: int) -> bool:
-        assign = [-1] * n
-
-        def place(i: int, used: int) -> bool:
-            if i == n:
+    def place(i: int, k: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        for c, members in enumerate(classes):
+            if members & masks[v] == 0:
+                classes[c] = members | 1 << v
+                if place(i + 1, k):
+                    return True
+                classes[c] = members
+        # opening at most one new class per vertex breaks label symmetry
+        if len(classes) < k:
+            classes.append(1 << v)
+            if place(i + 1, k):
                 return True
-            v = order[i]
-            taken = {assign[u] for u in adj[v] if assign[u] >= 0}
-            # allowing at most one brand-new color breaks label symmetry
-            for c in range(min(k, used + 1)):
-                if c not in taken:
-                    assign[v] = c
-                    if place(i + 1, max(used, c + 1)):
-                        return True
-            assign[v] = -1
-            return False
+            classes.pop()
+        return False
 
-        return place(0, 0)
-
-    for k in range(lower, upper):
-        if colorable(k):
-            return k
-    return upper
+    k = clique.bit_count()
+    while not place(0, k):
+        k += 1
+    return k
 
 
 def complete_graph(n: int) -> Graph:

@@ -386,7 +386,7 @@ def sweep(config: SweepConfig) -> SweepReport:
         for multiplier in config.multiplier_list:
             try:
                 base_p = threshold_p(config.spec, n)
-            except (ValueError, UnsupportedSpecError) as exc:
+            except ValueError as exc:  # UnsupportedSpecError among them
                 cells.append((n, multiplier, 0.0, False, str(exc)))
                 continue
             p = multiplier * base_p

@@ -246,6 +246,27 @@ def test_first_uncovered_pair_matches_brute_oracle(block_bytes):
     assert 12 <= valid < 36  # families (i) and (ii) are valid, (iii) mostly not
 
 
+def test_first_uncovered_pair_reads_labels_given_in_any_integer_form():
+    for g, c in verifier_cases(27_182, 12):
+        expected = oracles.brute_first_uncovered_pair(g.n, oracles.edge_classes(g.edges, c.labels))
+        for as_input in (list, tuple, np.array, _unsigned_unless_negative):
+            rebuilt = EdgeColoring(g, as_input(c.labels))
+            assert rebuilt == c and hash(rebuilt) == hash(c)
+            assert first_uncovered_pair(g, rebuilt) == expected
+
+
+def test_edge_coloring_stores_one_read_only_label_array():
+    c4 = cycle_graph(4)
+    c = EdgeColoring(c4, np.array([0, 1, 1, 2], dtype=np.uint64))
+    assert c._array.dtype == np.int64 and not c._array.flags.writeable
+    with pytest.raises(ValueError):
+        c._array[0] = 1
+    assert c.labels == (0, 1, 1, 2) and all(type(lab) is int for lab in c.labels)
+    assert EdgeColoring(c4, [0, 1, 1, 0]) != c
+    empty = EdgeColoring(Graph(1), [])
+    assert empty._array.dtype == np.int64 and empty.labels == ()
+
+
 # ------------------------------------------------------------- construction
 
 

@@ -97,6 +97,13 @@ def test_coloring_rejects_malformed(tmp_path, content, fragment):
     assert fragment in str(err.value)
 
 
+def test_coloring_color_count_message(tmp_path):
+    path = tmp_path / "three.txt"
+    path.write_text("3\n0\n0\n1\n1\n")
+    with pytest.raises(FormatError, match="header declares 3 colors but 2 distinct labels appear"):
+        read_coloring(path, cycle_graph(4))
+
+
 def test_coloring_wrong_edge_count_message(tmp_path):
     g = cycle_graph(4)
     path = tmp_path / "short.txt"

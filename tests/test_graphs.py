@@ -491,6 +491,42 @@ def test_chromatic_number_matches_brute_force():
         assert chromatic_number(Graph(5, edges)) == oracles.brute_chromatic(5, edges)
 
 
+def _first_fit_colors(g):
+    """Colors first-fit uses in the (-degree, vertex) order of the chi search."""
+    color = {}
+    for v in sorted(range(g.n), key=lambda v: (-int(g.degrees[v]), v)):
+        taken = {color.get(u) for u in range(g.n) if g.has_edge(u, v)}
+        color[v] = min(c for c in range(g.n) if c not in taken)
+    return max(color.values()) + 1
+
+
+def test_chromatic_number_below_first_fit_on_crown_graphs(block_bytes):
+    # crown graph: u_i = 2i and v_i = 2i + 1, with u_i ~ v_j iff i != j
+    for k in range(3, 9):
+        pairs = [(2 * i, 2 * j + 1) for i in range(k) for j in range(k) if i != j]
+        g = Graph.from_pairs(2 * k, pairs)
+        assert _first_fit_colors(g) == k
+        assert chromatic_number(g) == 2
+
+
+def test_chromatic_number_of_groetzsch_graph(block_bytes):
+    # Mycielskian of C5: cycle 0..4, shadow 5 + i of each i, hub 10
+    cycle = [(i, (i + 1) % 5) for i in range(5)]
+    shadows = [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+    g = Graph.from_pairs(11, cycle + shadows + [(10, 5 + i) for i in range(5)])
+    assert g.m == 20 and is_triangle_free(g)  # largest clique: one edge
+    assert chromatic_number(g) == 4
+
+
+def test_chromatic_number_matches_brute_force_n6_to_n8(block_bytes):
+    rng = np.random.default_rng(5_772)
+    for _ in range(60):
+        n = int(rng.integers(6, 9))
+        density = rng.uniform(0, 0.5)
+        edges = [p for p in oracles.all_pairs(n) if rng.random() < density]
+        assert chromatic_number(Graph(n, edges)) == oracles.brute_chromatic(n, edges), (n, edges)
+
+
 def test_chromatic_number_named_and_cap():
     assert chromatic_number(complete_graph(4)) == 4
     assert chromatic_number(cycle_graph(5)) == 3
@@ -547,6 +583,10 @@ def test_spanning_tree_matches_python_bfs():
 def test_spanning_tree_rejects_disconnected():
     with pytest.raises(NotConnectedError):
         spanning_tree(Graph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(NotConnectedError):  # the search from 0 reaches nothing
+        spanning_tree(Graph(4, [(1, 2), (1, 3), (2, 3)]))
+    with pytest.raises(NotConnectedError):  # only the last vertex is missed
+        spanning_tree(Graph(4, [(0, 1), (0, 2), (1, 2)]))
 
 
 # ------------------------------------------------------------ other queries
