@@ -109,12 +109,7 @@ class EdgeColoring:
     def from_labels(cls, graph: Graph, raw: Iterable[object]) -> "EdgeColoring":
         """Map arbitrary hashable labels onto the canonical 0..k-1 scheme."""
         mapping: dict[object, int] = {}
-        canon = []
-        for lab in raw:
-            if lab not in mapping:
-                mapping[lab] = len(mapping)
-            canon.append(mapping[lab])
-        return cls(graph, canon)
+        return cls(graph, [mapping.setdefault(lab, len(mapping)) for lab in raw])
 
     @cached_property
     def labels(self) -> tuple[int, ...]:
@@ -301,16 +296,6 @@ def exactness_certificate(
     return None
 
 
-def _join(comp: list[int], cu: int, cv: int) -> int:
-    """Point every vertex of the components ``cu`` and ``cv`` at their union."""
-    merged = rest = cu | cv
-    while rest:
-        low = rest & -rest
-        comp[low.bit_length() - 1] = merged
-        rest ^= low
-    return merged
-
-
 def _tree_cover_search(edges: Sequence[EdgePair], n: int, best: int, floor: int) -> int:
     """Least tree-cover cost tau(G) of a connected graph, by branch and bound.
 
@@ -430,9 +415,7 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
     so the non-edges are what the trees must hold: mc(G) = m - tau(G), where
     tau(G) is the least tree-cover cost (see :func:`_tree_cover_search`).
 
-    Within the cap, connectivity and the minimum degree delta come from one
-    bitmask merge over the edges, so no component labelling runs; beyond it, a
-    disconnected graph still returns 0 and a connected one raises.
+    A connected graph with more than ``cap`` edges raises.
 
     The search starts from m - n + 2, the color count of the always-valid
     spanning-tree coloring (cost n - 2), and stops at the upper bound
@@ -440,27 +423,20 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
     search runs at all. The tests check it against an independent exhaustive
     partition oracle.
     """
+    if not is_connected(g):
+        return 0
     n, m = g.n, g.m
     if m > cap:
-        if not is_connected(g):
-            return 0
         raise CapExceededError(f"edge count {m} too large for the exact search (cap {cap})")
-    if m == 0:
-        return 0
     edges = g.edges
-    comp = [1 << v for v in range(n)]
     degree = [0] * n
     for u, v in edges:
         degree[u] += 1
         degree[v] += 1
-        if comp[u] != comp[v]:
-            _join(comp, comp[u], comp[v])
-    if comp[0] != (1 << n) - 1:
-        return 0
     seed = m - n + 2
     top = min(m - n + min(degree) + 1, n * (n - 1) // 2)
-    if seed == top:
-        return seed
+    if seed >= top:  # a single vertex has seed 1 > top 0; otherwise seed <= top
+        return top
     return m - _tree_cover_search(edges, n, m - seed, m - top)
 
 

@@ -29,6 +29,7 @@ endpoints back for callers that need edge pairs.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,16 @@ class RngSeed:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.master_seed <= _MASK64):
+        try:  # operator.index refuses floats and strings where int() would take them
+            master, stream = operator.index(self.master_seed), operator.index(self.stream_index)
+        except TypeError:
+            raise ValueError("master_seed and stream_index must be integers") from None
+        if not (0 <= master <= _MASK64):
             raise ValueError("master_seed must fit in 64 unsigned bits")
-        if not (0 <= self.stream_index <= _MASK64):
+        if not (0 <= stream <= _MASK64):
             raise ValueError("stream_index must be a non-negative 64-bit integer")
+        object.__setattr__(self, "master_seed", master)
+        object.__setattr__(self, "stream_index", stream)
 
     def stream_key(self) -> int:
         return self.master_seed ^ mix64(self.stream_index)

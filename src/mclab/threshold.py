@@ -105,7 +105,11 @@ class ThresholdSpec:
             ell = float(ell)
         elif ell is not None:
             raise ValueError("key 'ell': not used by the custom family with a SPARSE regime")
-        table = tuple(sorted((int(k), float(v)) for k, v in values.items()))
+        try:  # operator.index refuses 100.5 and "100" where int() would take them
+            ns = [operator.index(k) for k in values]
+        except TypeError:
+            raise ValueError("key 'table': every n must be an integer") from None
+        table = tuple(sorted(zip(ns, map(float, values.values()))))
         if not table:
             raise ValueError("custom table must not be empty")
         if not all(math.isfinite(v) for _, v in table):

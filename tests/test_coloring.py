@@ -39,6 +39,7 @@ from mclab.coloring import (
 )
 from mclab.errors import CapExceededError, NotConnectedError
 from mclab.graphs import (
+    _SMALL_EDGES,
     Graph,
     _has_far_pair,
     complete_graph,
@@ -158,6 +159,9 @@ def test_from_labels_canonicalizes():
     assert c.labels == (0, 1, 0, 2)
     c2 = EdgeColoring.from_labels(c4, [7, 7, 3, 7])
     assert c2.labels == (0, 0, 1, 0) and c2.num_colors == 2
+    mixed = ["b", (1, 2), -5, "b", -5, (1, 2), "a", (2, 1), -5, "a"]
+    c3 = EdgeColoring.from_labels(cycle_graph(10), mixed)
+    assert c3.labels == (0, 1, 2, 0, 2, 1, 3, 4, 2, 3) and c3.num_colors == 5
 
 
 def test_edge_coloring_empty_graph():
@@ -538,6 +542,8 @@ def test_exact_mc_cap():
     assert exact_mc_small(c5, cap=5) == 2
     with pytest.raises(CapExceededError):
         exact_mc_small(petersen_graph())  # m = 15 over the default cap
+    with pytest.raises(CapExceededError):
+        exact_mc_small(Graph(1), cap=-1)  # connected, so the cap still applies
 
 
 def test_exact_mc_matches_independent_oracle():
@@ -603,10 +609,16 @@ def test_exact_mc_within_cap_labels_no_components(monkeypatch):
     for edges in ([], [(0, 1), (2, 3), (3, 4)], [(0, 1), (0, 2), (1, 2), (3, 4)]):
         assert exact_mc_small(Graph(5, edges)) == 0 == oracles.oracle_mc(5, edges)
     assert not calls
-    # beyond the cap a disconnected graph still returns 0, by one labelling
+    # beyond the cap a disconnected graph still returns 0; at m = 10 the
+    # bitmask walk decides it, past _SMALL_EDGES one labelling does
     c5 = cycle_graph(5).edges
     two_c5 = Graph(10, c5 + tuple((u + 5, v + 5) for u, v in c5))
     assert exact_mc_small(two_c5, cap=9) == 0
+    assert not calls
+    k12 = complete_graph(12).edges
+    two_k12 = Graph(24, k12 + tuple((u + 12, v + 12) for u, v in k12))
+    assert two_k12.m == 132 > _SMALL_EDGES
+    assert exact_mc_small(two_k12) == 0
     assert sum(calls.values()) == 1
 
 
@@ -699,8 +711,9 @@ def test_analyze_labels_each_graph_once(monkeypatch):
         calls.clear()
         b = analyze(g)
         arr = g.edge_array
-        assert calls[g.n, arr[:, 0].tobytes(), arr[:, 1].tobytes()] == 1
-        assert max(calls.values()) == 1  # the complement and G - v are other graphs
+        labelled = 1 if g.m > _SMALL_EDGES else 0
+        assert calls[g.n, arr[:, 0].tobytes(), arr[:, 1].tobytes()] == labelled
+        assert set(calls.values()) <= {1}  # the complement and G - v are other graphs
         if g.m <= 9:
             assert b.exact == oracles.oracle_mc(g.n, list(g.edges))
     calls.clear()

@@ -68,6 +68,15 @@ def test_coloring_round_trip(tmp_path):
     assert read_coloring(path, g) == c
 
 
+def test_coloring_round_trip_edgeless(tmp_path):
+    g = Graph(3)
+    c = EdgeColoring(g, [])
+    path = tmp_path / "c.txt"
+    write_coloring(c, path)
+    assert path.read_text() == "0\n"  # the header alone
+    assert read_coloring(path, g) == c
+
+
 def test_coloring_read_canonicalizes(tmp_path):
     g = cycle_graph(4)
     path = tmp_path / "c.txt"

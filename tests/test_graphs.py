@@ -1,5 +1,6 @@
 """Graph representation and structural queries, cross-checked against brute force."""
 
+import itertools
 import math
 
 import numpy as np
@@ -190,6 +191,52 @@ def test_queries_match_brute_force_all_graphs_up_to_n5():
                     degs[u] += 1
                     degs[v] += 1
                 assert min_degree(g) == min(degs) and max_degree(g) == max(degs)
+
+
+def test_is_connected_matches_brute_force_all_graphs_up_to_n6():
+    for n in range(1, 7):
+        for edges in oracles.all_edge_subsets(n):
+            assert is_connected(Graph(n, edges)) == oracles.brute_connected(n, edges)
+
+
+def joined_blocks(rng, n, blocks, m):
+    """m edges on n vertices: a path through each block, then chords drawn
+    inside the blocks; the blocks' vertices are relabelled among themselves at
+    random, and a vertex in no block stays isolated under its own label."""
+    pairs = {p for block in blocks for p in zip(block, block[1:])}
+    chords = [p for block in blocks for p in itertools.combinations(block, 2) if p not in pairs]
+    pairs.update(chords[i] for i in rng.choice(len(chords), m - len(pairs), replace=False))
+    inside = sorted({v for block in blocks for v in block})
+    relabel = dict(zip(inside, rng.permutation(inside).tolist()))
+    return Graph.from_pairs(n, [(relabel[u], relabel[v]) for u, v in pairs])
+
+
+def test_is_connected_both_sides_of_small_edge_bound(monkeypatch):
+    calls = []
+
+    def counted(n, heads, tails):
+        calls.append(n)
+        return component_labels(n, heads, tails)
+
+    monkeypatch.setattr(graphs, "component_labels", counted)
+    rng = np.random.default_rng(6465)
+    n = 20
+    cases = (
+        ([list(range(n))], True),  # a path plus chords
+        ([list(range(n - 1))], False),  # the last vertex isolated
+        ([list(range(10)), list(range(10, n))], False),  # two components
+    )
+    for m in (graphs._SMALL_EDGES, graphs._SMALL_EDGES + 1):
+        for blocks, connected in cases:
+            g = joined_blocks(rng, n, blocks, m)
+            assert g.m == m and g.n == n
+            if len(blocks[0]) == n - 1:
+                assert g.degrees[n - 1] == 0
+            calls.clear()
+            assert is_connected(g) is connected == oracles.brute_connected(n, g.edges)
+            assert len(calls) == (0 if m <= graphs._SMALL_EDGES else 1)
+    calls.clear()
+    assert is_connected(Graph(1)) and not calls
 
 
 def test_queries_match_brute_force_sampled_n6():

@@ -50,6 +50,16 @@ def test_rng_seed_validation():
         RngSeed(1 << 64, 0)
     with pytest.raises(ValueError):
         RngSeed(0, -3)
+    # non-integers fail at construction, not later in generator() or the range check
+    with pytest.raises(ValueError, match="integers"):
+        RngSeed(1.5)
+    with pytest.raises(ValueError, match="integers"):
+        RngSeed("7")
+    with pytest.raises(ValueError, match="integers"):
+        RngSeed(7, 2.0)
+    seed = RngSeed(np.uint64(7), np.int32(3))
+    assert type(seed.master_seed) is int and type(seed.stream_index) is int
+    assert seed == RngSeed(7, 3)
 
 
 def test_rng_seed_streams_reproduce():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 import oracles
 import mclab.graphs
@@ -71,6 +72,12 @@ def test_spec_validation():
     for value in (math.nan, math.inf, -math.inf):  # JSON has no spelling for these
         with pytest.raises(ValueError, match="'table'"):
             ThresholdSpec.custom({100: 5.0, 200: value}, SPARSE)
+    # n must be an integer: int() would read 100.5 and "100" as 100, and two
+    # keys would then both land on n = 100
+    for table in ({100.5: 50.0}, {"100": 50.0}, {100: 1.0, 100.7: 2.0}):
+        with pytest.raises(ValueError, match="'table'"):
+            ThresholdSpec.custom(table, SPARSE)
+    assert ThresholdSpec.custom({np.int64(100): 50.0}, SPARSE).table == ((100, 50.0),)
 
 
 def test_f_value_and_range():
@@ -446,3 +453,25 @@ def test_sweep_monotone_frac_yes():
         se = math.sqrt(max(pooled * (1 - pooled), 1e-9) / 500)
         assert a - b <= 2 * 2 * se
 
+
+def test_nlogn_sweep_matches_binomial_prediction():
+    # A trial says YES exactly when G is connected and m - n + 2 >= ceil(f), so
+    # frac_yes should follow P(Bin(C(n,2), p) >= ceil(f) + n - 2) times the
+    # chance that no vertex is isolated, exp(-n (1 - p)^(n-1)).
+    config = SweepConfig(
+        spec=NLOGN1,
+        n_list=(500, 2000),
+        multiplier_list=(1.7, 1.8, 1.9),
+        trials=100,
+        master_seed=11,
+    )
+    informative = set()
+    for row in sweep(config).rows:
+        n, p = row.n, row.p
+        need = math.ceil(NLOGN1.f_value(n)) + n - 2
+        predicted = binom.sf(need - 1, n * (n - 1) // 2, p) * math.exp(-n * (1 - p) ** (n - 1))
+        se = math.sqrt(predicted * (1 - predicted) / row.trials)
+        assert abs(row.frac_yes - predicted) <= 3 * se + 1 / row.trials, row
+        if 0.1 <= predicted <= 0.9:
+            informative.add(n)
+    assert informative == {500, 2000}  # a row inside the transition at each n
