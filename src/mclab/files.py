@@ -12,8 +12,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
-
 from .coloring import EdgeColoring
 from .errors import FormatError
 from .graphs import Graph
@@ -69,7 +67,7 @@ def read_edge_list(path: str | Path) -> Graph:
 def write_edge_list(g: Graph, path: str | Path) -> None:
     with open(Path(path), "w", encoding="utf-8") as fh:
         fh.write(f"{g.n} {g.m}\n")
-        np.savetxt(fh, g.edge_array, fmt="%d")
+        fh.write("".join(f"{u} {v}\n" for u, v in g.edge_array.tolist()))
 
 
 def read_coloring(path: str | Path, g: Graph) -> EdgeColoring:

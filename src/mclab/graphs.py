@@ -6,10 +6,10 @@ immutable after construction and safe to share between threads or processes.
 
 A ``Graph`` caches, on first use, its degrees, whether it is connected (a walk
 over neighbour bitmasks up to ``_SMALL_EDGES`` edges, scipy's labelling above),
-and one symmetric CSR adjacency matrix with sorted rows that the neighbourhood
-queries read. Vertex connectivity, the far-pair test behind certificate (d) and
-the chromatic number read neighbourhoods as Python-int bitmasks, which one
-builder cuts from that CSR a block of rows at a time. The triangle test reads
+and one symmetric CSR adjacency matrix with sorted rows. Connectivity, vertex
+connectivity, certificate (d)'s far-pair test and the chromatic number read
+neighbourhoods as Python-int bitmasks from one builder: a loop over the edges
+up to ``_SMALL_EDGES`` edges, CSR row blocks above. The triangle test reads
 none of it but the degrees: it orients the edge array into a CSR of its own.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -37,8 +37,9 @@ _BLOCK_BYTES = 1 << 20
 
 DEFAULT_CHI_CAP = 16  # exact chromatic number is exponential in n
 
-# Graph._connected walks neighbour bitmasks up to this many edges: on 2 cores,
-# building ``edges`` and walking took 2.3 / 18 / 56 / 159 us at m = 6 / 66 /
+# up to this many edges one loop over the edges builds the neighbour masks (about
+# 10 us at m = 64 against 0.2 ms for the CSR), and Graph._connected walks them: on
+# 2 cores, building ``edges`` and walking took 2.3 / 18 / 56 / 159 us at m = 6 / 66 /
 # 220 / 437, scipy's labelling 93-173 us at any m, so 64 keeps the walk near 30 us
 _SMALL_EDGES = 64
 
@@ -80,7 +81,7 @@ class Graph:
             if arr.shape[0] > 1 and not (np.diff(keys) > 0).all():
                 raise ValueError("edges must be strictly increasing lexicographically")
         arr.flags.writeable = False
-        self.n = n
+        self.n, self.m = n, arr.shape[0]
         self._array = arr
 
     @classmethod
@@ -96,10 +97,6 @@ class Graph:
             if repeats.any():
                 raise ValueError(f"duplicate edge {tuple(arr[repeats.argmax()].tolist())}")
         return cls(n, arr)  # rejects other shapes, non-integer and out-of-range endpoints
-
-    @property
-    def m(self) -> int:
-        return self._array.shape[0]
 
     @property
     def edge_array(self) -> np.ndarray:
@@ -128,10 +125,7 @@ class Graph:
             return False
         if self.m > _SMALL_EDGES:
             return component_labels(n, *self._array.T)[0] == 1
-        nbrs = [0] * n
-        for u, v in self.edges:
-            nbrs[u] |= 1 << v
-            nbrs[v] |= 1 << u
+        nbrs = _neighbour_masks(self, 0, n)
         reached = todo = 1
         while todo:
             low = todo & -todo
@@ -145,7 +139,7 @@ class Graph:
         """Symmetric float32 CSR adjacency matrix, each row's columns ascending.
 
         Only its structure is read, never its values: by the spanning-tree BFS,
-        ``diameter``, the mask builder, kappa's pair list and the cut-vertex DFS."""
+        ``diameter``, the cut-vertex DFS and the mask builder past ``_SMALL_EDGES``."""
         arr, n = self._array, self.n
         ones = np.ones(arr.shape[0], dtype=np.float32)
         # the canonical edge array is the upper triangle in CSR order
@@ -298,11 +292,19 @@ def _neighbour_masks(g: Graph, start: int, stop: int) -> list[int]:
     """Neighbour bitmasks of the vertices start..stop-1: bit u of the int for
     v is set iff u ~ v.
 
-    The rows are cut from the CSR a block of about ``_BLOCK_BYTES`` of bool at a
-    time and packed to bytes, so besides the masks themselves the build holds
-    one block, whatever n.
+    Up to ``_SMALL_EDGES`` edges, where the CSR alone costs more, one loop over
+    the edges sets the bits, and the full range returns its list uncopied. Above,
+    rows are cut from the CSR a block of about ``_BLOCK_BYTES`` of bool at a time
+    and packed to bytes, so besides the masks the build holds one block, whatever n.
     """
-    n, adj = g.n, g._adjacency
+    n = g.n
+    if g.m <= _SMALL_EDGES:
+        masks = [0] * n
+        for u, v in g.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return masks if (start, stop) == (0, n) else masks[start:stop]
+    adj = g._adjacency
     rows, width = max(1, _BLOCK_BYTES // n), (n + 7) // 8
     masks = []
     for lo in range(start, stop, rows):
@@ -421,24 +423,28 @@ def _split_network(g: Graph) -> csr_matrix:
     return csr_matrix((caps, (heads, tails)), shape=(2 * n, 2 * n))
 
 
-def _separating_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Non-adjacent pairs (s[i], t[i]) whose least local connectivity is kappa
-    on a non-complete graph (Esfahanian & Hakimi, 1984).
-
-    With v of minimum degree: v and each of its non-neighbours, ascending, then
-    each non-adjacent pair of v's neighbours, row by row. A minimum cut that
-    misses v separates it from some non-neighbour; one that holds v separates
-    two of v's neighbours. That is at most (n - 1 - delta) + delta(delta - 1)/2 pairs.
-    """
-    adj = g._adjacency
-    v = int(np.argmin(g.degrees))
-    nbrs = adj.indices[adj.indptr[v] : adj.indptr[v + 1]]
-    far = np.ones(g.n, dtype=bool)
-    far[nbrs] = far[v] = False
-    far = np.flatnonzero(far)
-    # zeros above the diagonal of the neighbour block, in row-major order
-    x, y = np.nonzero(np.triu(adj[nbrs].toarray()[:, nbrs] == 0, 1))
-    return np.concatenate((np.full(far.shape[0], v), nbrs[x])), np.concatenate((far, nbrs[y]))
+def _separating_pairs(masks: list[int], v: int) -> Iterator[tuple[int, int]]:
+    """Non-adjacent pairs (s, t), one at a time, whose least local connectivity
+    is kappa on a non-complete graph with neighbour masks ``masks`` and v of
+    minimum degree (Esfahanian & Hakimi, 1984): v and each non-neighbour,
+    ascending, then each non-adjacent pair of v's neighbours, row by row. A
+    minimum cut that misses v separates it from some non-neighbour; one that
+    holds v separates two of v's neighbours: at most (n - 1 - delta) +
+    delta(delta - 1)/2 pairs."""
+    near = masks[v]
+    far = ((1 << len(masks)) - 1) ^ near ^ 1 << v
+    while far:
+        low = far & -far
+        yield v, low.bit_length() - 1
+        far ^= low
+    while near:
+        a = (near & -near).bit_length() - 1
+        near ^= 1 << a
+        later = near & ~masks[a]
+        while later:
+            low = later & -later
+            yield a, low.bit_length() - 1
+            later ^= low
 
 
 def _short_paths(masks: list[int], s: int, t: int, need: int) -> int:
@@ -476,27 +482,32 @@ def _short_paths(masks: list[int], s: int, t: int, need: int) -> int:
 
 
 def _least_pair_connectivity(g: Graph, cap: int, stop: int) -> int:
-    """min(cap, least local vertex connectivity over :func:`_separating_pairs`).
+    """min(cap, kappa(g)), or the first value at most ``stop`` the search meets;
+    kappa is 0 for a disconnected graph and n - 1 for a complete one, K_1 too.
 
-    Each pair is capped at the running minimum, and most pairs reach it
-    without a flow: :func:`_short_paths`, on the neighbour bitmasks of all n
-    vertices from :func:`_neighbour_masks`, finds disjoint paths s-c-t through the common
-    neighbours and s-a-b-t through a greedy matching, and by Menger's theorem
-    their count is at most kappa(s, t). The pairs still short each take a
-    maximum flow on one split network, built at the first of them. Returns as
-    soon as the minimum reaches ``stop``.
+    The cap is clipped to delta before any mask is built. Each pair of
+    :func:`_separating_pairs` is capped at the running minimum, and most reach it
+    without a flow: :func:`_short_paths`, on the masks of all n vertices from
+    :func:`_neighbour_masks`, finds disjoint paths s-c-t through the common
+    neighbours and s-a-b-t through a greedy matching, at most kappa(s, t) of them
+    by Menger's theorem. The pairs still short each take a maximum flow on one
+    split network, built at the first of them.
     """
+    if not is_connected(g):
+        return 0
+    if g.is_complete():
+        return min(cap, g.n - 1)
+    cap = min(cap, min_degree(g))
     if cap <= stop:
         return cap
     masks = _neighbour_masks(g, 0, g.n)
-    s, t = _separating_pairs(g)
     least, net = cap, None
-    for u, w in zip(s.tolist(), t.tolist()):
-        if _short_paths(masks, u, w, least) >= least:
+    for s, t in _separating_pairs(masks, int(np.argmin(g.degrees))):
+        if _short_paths(masks, s, t, least) >= least:
             continue
         if net is None:
             net = _split_network(g)
-        least = min(least, int(maximum_flow(net, 2 * u + 1, 2 * w).flow_value))
+        least = min(least, int(maximum_flow(net, 2 * s + 1, 2 * t).flow_value))
         if least <= stop:
             break
     return least
@@ -514,12 +525,7 @@ def vertex_connectivity(g: Graph) -> int:
     with as many as the running minimum cannot lower it (see
     :func:`_short_paths`).
     """
-    n = g.n
-    if n == 1 or not is_connected(g):
-        return 0
-    if g.is_complete():
-        return n - 1
-    return _least_pair_connectivity(g, min_degree(g), 1)
+    return _least_pair_connectivity(g, g.n, 1)
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -531,15 +537,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     give k internally disjoint paths of length 2 and 3, since fewer than k
     vertices cannot cut them all (see :func:`_short_paths`).
     """
-    if k <= 0:
-        return True
-    if g.n <= k:
-        return False
-    if g.is_complete():
-        return True
-    if not is_connected(g) or min_degree(g) < k:
-        return False
-    return _least_pair_connectivity(g, k, k - 1) == k
+    return k <= 0 or _least_pair_connectivity(g, k, k - 1) == k
 
 
 def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> int:
@@ -554,8 +552,6 @@ def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> int:
     n = g.n
     if n > cap:
         raise CapExceededError(f"graph too large for exact chromatic number (n={n} > cap={cap})")
-    if g.m == 0:
-        return 1
     masks = _neighbour_masks(g, 0, n)
     order = np.argsort(-g.degrees, kind="stable").tolist()
     clique = 0

@@ -12,8 +12,10 @@ def block_bytes(request, monkeypatch):
 
     Tiny blocks send every block loop of the array checks (the verifier's row
     scan, the diameter test, the triangle test, whose blocks then take about 8
-    multiplications each, and the neighbour masks of kappa and the far-pair
-    test, built one row per block) through many short blocks.
+    multiplications each, and the neighbour masks of kappa, chi and the
+    far-pair test, built a row or a few per block) through many short blocks.
+    The masks take blocks only above ``graphs._SMALL_EDGES`` edges, so a test
+    of them needs a graph past that bound.
     """
     if request.param is not None:
         monkeypatch.setattr(mclab.graphs, "_BLOCK_BYTES", request.param)

@@ -1,5 +1,8 @@
 """Edge-list and coloring text formats: round trips and line-numbered rejection."""
 
+import io
+
+import numpy as np
 import pytest
 
 from mclab.coloring import EdgeColoring, spanning_tree_coloring
@@ -24,6 +27,12 @@ def test_edge_list_written_form(tmp_path):
     write_edge_list(Graph(4), path)
     assert path.read_text() == "4 0\n"
     assert read_edge_list(path) == Graph(4)
+    g = sample_gnp(300, 0.1, RngSeed(20))
+    reference = io.StringIO()
+    np.savetxt(reference, g.edge_array, fmt="%d")
+    write_edge_list(g, path)
+    assert path.read_bytes() == f"{g.n} {g.m}\n{reference.getvalue()}".encode()
+    assert read_edge_list(path) == g
 
 
 def test_edge_list_ignores_comments_and_blanks(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mclab import graphs
+from mclab.coloring import analyze
 from mclab.errors import CapExceededError, NotConnectedError
 from mclab.graphs import (
     MAX_VERTICES,
@@ -183,7 +184,7 @@ def test_queries_match_brute_force_all_graphs_up_to_n5():
             assert is_triangle_free(g) == oracles.brute_triangle_free(n, edges)
             kappa = oracles.brute_vertex_connectivity(n, edges)
             assert vertex_connectivity(g) == kappa
-            for k in range(n + 2):
+            for k in range(-1, n + 2):
                 assert is_k_connected(g, k) == (kappa >= k)
             if edges:
                 degs = [0] * n
@@ -264,14 +265,17 @@ def test_adjacency_rows_are_sorted_neighbour_lists_up_to_n5():
             assert [r.tolist() for r in rows] == [sorted(a) for a in oracles.adjacency(n, edges)]
 
 
+def separating_pairs(g):
+    """The pair generator of g's vertex-connectivity search, from v of minimum degree."""
+    return graphs._separating_pairs(graphs._neighbour_masks(g, 0, g.n), int(np.argmin(g.degrees)))
+
+
 def test_separating_pairs_match_brute_force_order():
     cases = connected_non_complete(range(3, 7))
     gnp64 = sample_gnp(64, 0.3, RngSeed(6))
     cases += [gnp64, complement(gnp64)]
     for g in cases:
-        s, t = graphs._separating_pairs(g)
-        pairs = list(zip(s.tolist(), t.tolist()))
-        assert pairs == oracles.brute_separating_pairs(g.n, list(g.edges)), g
+        assert list(separating_pairs(g)) == oracles.brute_separating_pairs(g.n, list(g.edges)), g
 
 
 def test_complement_matches_brute_force_up_to_n5():
@@ -302,6 +306,9 @@ def test_neighbour_masks_are_the_edge_set_bits(block_bytes):
     rng = np.random.default_rng(8128)
     cases = [Graph(1), Graph(9, [(0, 8)]), petersen_graph(), star_graph(17)]
     cases += [sample_gnp(n, p, RngSeed(8128, n)) for n, p in ((13, 0.4), (70, 0.1), (130, 0.6))]
+    # both sides of the bound between the edge loop and the CSR blocks
+    cases += [joined_blocks(rng, 20, [list(range(20))], m) for m in (64, 65)]
+    assert [g.m for g in cases[-2:]] == [graphs._SMALL_EDGES, graphs._SMALL_EDGES + 1]
     for g in cases:
         expected = [0] * g.n
         for u, v in g.edge_set:
@@ -503,12 +510,44 @@ def test_matching_spares_the_flows_of_large_graphs(monkeypatch):
     # every pair of both queries has fewer common neighbours than the minimum,
     # so each would take a flow without the matching; under 1% of them do
     sparse, dense = sample_gnp(2000, 0.05, RngSeed(5)), sample_gnp(600, 0.5, RngSeed(11))
-    assert [graphs._separating_pairs(h)[0].shape[0] for h in (sparse, dense)] == [4224, 17662]
+    assert [sum(1 for _ in separating_pairs(h)) for h in (sparse, dense)] == [4224, 17662]
     assert is_k_connected(sparse, 25)
     assert len(flows) < 4224 // 100
     flows.clear()
     assert vertex_connectivity(dense) == 264  # its minimum degree
     assert len(flows) < 17662 // 100
+
+
+def test_connectivity_draws_pairs_lazily(monkeypatch):
+    drawn = []
+    real = graphs._separating_pairs
+
+    def counted(masks, v):
+        for pair in real(masks, v):
+            drawn.append(pair)
+            yield pair
+
+    monkeypatch.setattr(graphs, "_separating_pairs", counted)
+    # the first pair, vertex 0 and vertex 6 of the other clique, has the two
+    # shared vertices as its only paths, so its flow ends the search at 2 < 3
+    assert not is_k_connected(two_cliques_sharing(6, 2), 3)
+    assert drawn == [(0, 6)]
+
+
+def test_mask_readers_skip_the_csr_up_to_the_small_edge_bound():
+    g = joined_blocks(np.random.default_rng(64), 20, [list(range(20))], graphs._SMALL_EDGES)
+    queries = [chromatic_number, vertex_connectivity, lambda h: is_k_connected(h, 3), _has_far_pair]
+    for h, query in [(petersen_graph(), q) for q in queries] + [(g, q) for q in queries[1:]]:
+        query(h)
+        assert "_adjacency" not in h.__dict__, (h, query)
+    pet = petersen_graph()
+    assert analyze(pet).exact == 7
+    assert "_adjacency" not in pet.__dict__
+    # one edge more and kappa cuts its masks from the CSR
+    g = joined_blocks(np.random.default_rng(65), 20, [list(range(20))], 65)
+    assert g.m == graphs._SMALL_EDGES + 1 and min_degree(g) >= 2
+    vertex_connectivity(g)
+    assert "_adjacency" in g.__dict__
 
 
 def connected_non_complete(sizes):
@@ -572,6 +611,15 @@ def test_chromatic_number_matches_brute_force_n6_to_n8(block_bytes):
         density = rng.uniform(0, 0.5)
         edges = [p for p in oracles.all_pairs(n) if rng.random() < density]
         assert chromatic_number(Graph(n, edges)) == oracles.brute_chromatic(n, edges), (n, edges)
+
+
+def test_chromatic_number_above_small_edge_bound(block_bytes):
+    k16 = complete_graph(16)
+    # K16 minus a perfect matching: the 8 pairs (2i, 2i + 1) share a class
+    cocktail = Graph(16, [e for e in k16.edges if e[1] != e[0] + 1 or e[0] % 2])
+    assert (k16.m, cocktail.m) == (120, 112) and cocktail.m > graphs._SMALL_EDGES
+    assert chromatic_number(k16) == 16
+    assert chromatic_number(cocktail) == 8
 
 
 def test_chromatic_number_named_and_cap():
