@@ -247,6 +247,12 @@ def mc_upper_bound(
     return best, tags
 
 
+def _degree_certificate(n: int, m: int, delta_max: int) -> bool:
+    """Certificate (c): Delta*(n-3) < n*(n-3) - (2m - 3(n-1)), in exact integer
+    arithmetic; on a connected graph with n > 3 it forces mc(G) = m - n + 2."""
+    return delta_max * (n - 3) < n * (n - 3) - (2 * m - 3 * (n - 1))
+
+
 def exactness_certificate(
     g: Graph, kappa_cap: int = DEFAULT_KAPPA_CAP
 ) -> Optional[str]:
@@ -280,7 +286,7 @@ def exactness_certificate(
         return EXACT_A
     if is_triangle_free(g):
         return EXACT_B
-    if max_degree(g) * (n - 3) < n * (n - 3) - (2 * m - 3 * (n - 1)):
+    if _degree_certificate(n, m, max_degree(g)):
         return EXACT_C
     if _has_far_pair(g):
         return EXACT_D
@@ -420,7 +426,9 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
     The search starts from m - n + 2, the color count of the always-valid
     spanning-tree coloring (cost n - 2), and stops at the upper bound
     min(m - n + delta + 1, C(n, 2)); when the two meet (delta = 1, say) no
-    search runs at all. The tests check it against an independent exhaustive
+    search runs at all. Nor does it when n > 3 and certificate (c), the
+    max-degree inequality of :func:`exactness_certificate`, already proves
+    mc(G) = m - n + 2. The tests check it against an independent exhaustive
     partition oracle.
     """
     if not is_connected(g):
@@ -437,6 +445,8 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
     top = min(m - n + min(degree) + 1, n * (n - 1) // 2)
     if seed >= top:  # a single vertex has seed 1 > top 0; otherwise seed <= top
         return top
+    if n > 3 and _degree_certificate(n, m, max(degree)):
+        return seed
     return m - _tree_cover_search(edges, n, m - seed, m - top)
 
 

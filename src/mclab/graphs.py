@@ -10,7 +10,9 @@ and one symmetric CSR adjacency matrix with sorted rows. Connectivity, vertex
 connectivity, certificate (d)'s far-pair test and the chromatic number read
 neighbourhoods as Python-int bitmasks from one builder: a loop over the edges
 up to ``_SMALL_EDGES`` edges, CSR row blocks above. The triangle test reads
-none of it but the degrees: it orients the edge array into a CSR of its own.
+none of it but the degrees: it first looks for a triangle through vertex 0 in
+the rows of its neighbours, and only when none exists orients the edge array
+into a CSR of its own.
 """
 
 from __future__ import annotations
@@ -363,23 +365,40 @@ def _has_far_pair(g: Graph) -> bool:
 def is_triangle_free(g: Graph) -> bool:
     """True iff no three vertices are pairwise adjacent.
 
-    Vertices are ranked by (degree, vertex), and each edge points from its
-    lower-ranked end to its higher, which gives a strictly upper-triangular
-    CSR L on the ranks (Chiba & Nishizeki, 1985). A triangle x < y < z holds
-    the path x-y-z of L @ L and the edge x-z of L, so the graph has one iff
-    some row block of L @ L shares an entry with L. Row x of the product takes
-    one multiplication per out-edge of each out-neighbour of x, row x of
-    L @ outdeg, and the degree order keeps each out-degree at most sqrt(2m).
-    Blocks are cut by that count: the first to 1/64 of 1 MiB of product
-    entries, each next one to twice its predecessor's share up to 1 MiB,
-    whatever n. The test stops at the first block with a triangle, so an
-    early triangle costs only a small block, while the six growing blocks of
-    a triangle-free scan together hold about as much work as one full block.
+    A triangle through vertex 0 answers first, with no pass over all m edges.
+    Vertex 0's edges are the first rows of the canonical edge array, so its
+    neighbourhood N(0) is a slice; such a triangle is an edge a-b, a < b, with
+    both ends in N(0), and it lies in the rows of a. A binary search on the
+    heads finds the rows of each a in N(0), and their tails are looked up in
+    a mark of N(0): O(Delta log m) plus the out-degrees d+(a) of N(0) in all.
+
+    Otherwise vertices are ranked by (degree, vertex), and each edge points
+    from its lower-ranked end to its higher, which gives a strictly
+    upper-triangular CSR L on the ranks (Chiba & Nishizeki, 1985). A triangle
+    x < y < z holds the path x-y-z of L @ L and the edge x-z of L, so the
+    graph has one iff some row block of L @ L shares an entry with L. Row x
+    of the product takes one multiplication per out-edge of each
+    out-neighbour of x, row x of L @ outdeg, and the degree order keeps each
+    out-degree at most sqrt(2m). Blocks are cut by that count: the first to
+    1/64 of 1 MiB of product entries, each next one to twice its
+    predecessor's share up to 1 MiB, whatever n. The test stops at the first
+    block with a triangle, so an early triangle costs only a small block,
+    while the six growing blocks of a triangle-free scan together hold about
+    as much work as one full block.
     """
     n, arr = g.n, g.edge_array
+    heads, tails = arr[:, 0], arr[:, 1]
+    near = tails[: np.searchsorted(heads, 1)]  # N(0): vertex 0 heads the first rows
+    mark = np.zeros(n, dtype=bool)
+    mark[near] = True
+    starts, stops = np.searchsorted(heads, near), np.searchsorted(heads, near, side="right")
+    counts = stops - starts  # the rows of each a in N(0), laid end to end
+    rows = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    if mark[tails[rows]].any():
+        return False
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(g.degrees, kind="stable")] = np.arange(n)
-    ru, rv = rank[arr[:, 0]], rank[arr[:, 1]]
+    ru, rv = rank[heads], rank[tails]
     # edge x-z, x < z, as the key x * n + z: sorted keys list L in CSR order
     keys = np.sort(np.minimum(ru, rv) * n + np.maximum(ru, rv))
     ones = np.ones(g.m, dtype=np.float32)  # L @ L counts paths, at most n <= 2^24

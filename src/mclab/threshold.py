@@ -58,8 +58,9 @@ class ThresholdSpec:
 
     Presets classify themselves: CONSTANT and POWER with exponent <= 1 are
     SPARSE (they grow strictly slower than n log n), NLOGN is DENSE. POWER
-    with exponent > 1 sits between the regimes and is rejected rather than
-    guessed. CUSTOM tables carry whatever regime the caller declares.
+    with exponent > 1 is refused: the preset does not classify it, though
+    such an f can be given as a DENSE custom table. CUSTOM tables carry
+    whatever regime the caller declares.
     """
 
     family: str
@@ -83,8 +84,8 @@ class ThresholdSpec:
             raise ValueError("power exponent must lie in (0, 2)")
         if alpha > 1:
             raise UnsupportedSpecError(
-                f"n^{alpha} grows faster than every o(n log n) function but is not "
-                "bounded below by ell*n*log n at every supported n; no regime fits"
+                f"the power preset does not classify exponents above 1 (got {alpha}); "
+                f"give n^{alpha} as a custom table with regime DENSE and an ell instead"
             )
         return ThresholdSpec(family=POWER, regime=SPARSE, alpha=alpha)
 

@@ -411,11 +411,15 @@ def test_certificate_requires_hypotheses():
 
 
 def test_certificate_soundness_exhaustive():
+    # against the partition oracle: exact_mc_small reads certificate (c) itself
+    checked = 0
     for n in (4, 5):
         for edges in connected_edge_subsets(n):
             g = Graph(n, edges)
             if exactness_certificate(g) is not None:
-                assert exact_mc_small(g) == g.m - g.n + 2
+                assert oracles.oracle_mc(n, edges) == g.m - g.n + 2
+                checked += 1
+    assert checked == 633
 
 
 def reference_certificate(g):
@@ -634,6 +638,21 @@ def test_exact_mc_runs_no_search_at_min_degree_one(monkeypatch):
                 assert exact_mc_small(Graph(n, edges)) == oracles.oracle_mc(n, edges)
                 checked += 1
     assert checked == 507
+
+
+def test_exact_mc_runs_no_search_when_certificate_c_holds(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the tree-cover search ran")
+
+    monkeypatch.setattr(mclab.coloring, "_tree_cover_search", refuse)
+    checked = 0
+    for n in (4, 5):
+        for edges in connected_edge_subsets(n):
+            m, degs = len(edges), [sum(x in e for e in edges) for x in range(n)]
+            if min(degs) >= 2 and max(degs) * (n - 3) < n * (n - 3) - (2 * m - 3 * (n - 1)):
+                assert exact_mc_small(Graph(n, edges)) == oracles.oracle_mc(n, edges)
+                checked += 1
+    assert checked == 130
 
 
 def test_sandwich_and_completeness_small():

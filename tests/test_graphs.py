@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 import oracles
 from mclab import graphs
@@ -389,6 +390,86 @@ def test_triangle_free_matches_brute_force_up_to_n40(block_bytes):
         assert free == oracles.brute_triangle_free(g.n, list(g.edges)), g
         outcomes.add(free)
     assert outcomes == {True, False}
+
+
+def relabelled_with_vertex(g, v, rng):
+    """g under a random relabelling that sends vertex v to 0."""
+    others = [u for u in range(g.n) if u != v]
+    label = dict(zip([v] + others, [0] + (1 + rng.permutation(g.n - 1)).tolist()))
+    return Graph.from_pairs(g.n, [(label[a], label[b]) for a, b in g.edges])
+
+
+def on_triangle(g, v):
+    nbrs = {b if a == v else a for a, b in g.edges if v in (a, b)}
+    return any(a in nbrs and b in nbrs for a, b in g.edges)
+
+
+def test_triangle_through_vertex_zero_builds_no_csr(monkeypatch):
+    rng = np.random.default_rng(4711)
+    cases = [complete_graph(3), hub_triangle(rng, 6, True)]
+    for _ in range(40):
+        n = int(rng.integers(3, 31))
+        cases.append(sample_gnp(n, rng.uniform(0.1, 0.6), RngSeed(4711, int(rng.integers(1 << 30)))))
+    # send some vertex on a triangle to 0
+    cases = [relabelled_with_vertex(g, next(v for v in range(g.n) if on_triangle(g, v)), rng)
+             for g in cases if not oracles.brute_triangle_free(g.n, list(g.edges))]
+    assert len(cases) > 20
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a triangle through vertex 0 needs no CSR")
+
+    monkeypatch.setattr(graphs, "csr_matrix", refuse)
+    for g in cases:
+        assert on_triangle(g, 0)
+        assert not is_triangle_free(g)
+        assert not oracles.brute_triangle_free(g.n, list(g.edges))
+
+
+def test_triangle_away_from_vertex_zero_is_found_by_the_scan(monkeypatch):
+    rng = np.random.default_rng(4712)
+    # vertex 0 joined to an independent set: the square 0-1-3-2 with a
+    # triangle 1-3-4, or 0 between the two triangles of a bowtie
+    cases = [Graph(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 4)]),
+             Graph(7, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)])]
+    for _ in range(60):
+        n = int(rng.integers(4, 31))
+        g = sample_gnp(n, rng.uniform(0.1, 0.5), RngSeed(4712, int(rng.integers(1 << 30))))
+        free = [v for v in range(n) if not on_triangle(g, v)]
+        if free and not oracles.brute_triangle_free(n, list(g.edges)):
+            cases.append(relabelled_with_vertex(g, free[0], rng))
+    assert len(cases) > 20
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return csr_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "csr_matrix", counted)
+    for g in cases:
+        assert not on_triangle(g, 0)
+        built.clear()
+        assert not is_triangle_free(g)
+        assert not oracles.brute_triangle_free(g.n, list(g.edges))
+        assert built, g
+
+
+def test_triangle_test_with_vertex_zero_of_degree_zero_or_one():
+    rng = np.random.default_rng(4713)
+    cases = [Graph(1), Graph(2), Graph(2, [(0, 1)]), Graph(4, [(1, 2), (1, 3), (2, 3)]),
+             Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)]), Graph(4, [(0, 3), (1, 2), (1, 3), (2, 3)])]
+    for _ in range(60):
+        n = int(rng.integers(3, 31))
+        g = sample_gnp(n, rng.uniform(0.05, 0.5), RngSeed(4713, int(rng.integers(1 << 30))))
+        edges = [(u, v) for u, v in g.edges if u != 0]
+        keep = [(0, int(rng.integers(1, n)))] if rng.random() < 0.5 else []
+        cases.append(Graph.from_pairs(n, keep + edges))
+    outcomes = set()
+    for g in cases:
+        assert g.degrees[0] <= 1
+        free = is_triangle_free(g)
+        assert free == oracles.brute_triangle_free(g.n, list(g.edges)), g
+        outcomes.add((int(g.degrees[0]), free))
+    assert outcomes == {(0, True), (0, False), (1, True), (1, False)}
 
 
 def test_vertex_connectivity_matches_brute_force_n7_n8():

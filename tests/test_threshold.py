@@ -58,7 +58,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ThresholdSpec.power(2)
     with pytest.raises(UnsupportedSpecError):
-        ThresholdSpec.power(1.5)  # between the regimes; rejected, not guessed
+        ThresholdSpec.power(1.5)  # the preset does not classify exponents above 1
     with pytest.raises(ValueError):
         ThresholdSpec.nlogn(0)
     with pytest.raises(ValueError):
@@ -454,24 +454,38 @@ def test_sweep_monotone_frac_yes():
         assert a - b <= 2 * 2 * se
 
 
-def test_nlogn_sweep_matches_binomial_prediction():
+def assert_sweep_matches_binomial_prediction(spec, multipliers):
     # A trial says YES exactly when G is connected and m - n + 2 >= ceil(f), so
     # frac_yes should follow P(Bin(C(n,2), p) >= ceil(f) + n - 2) times the
     # chance that no vertex is isolated, exp(-n (1 - p)^(n-1)).
     config = SweepConfig(
-        spec=NLOGN1,
+        spec=spec,
         n_list=(500, 2000),
-        multiplier_list=(1.7, 1.8, 1.9),
+        multiplier_list=multipliers,
         trials=100,
         master_seed=11,
     )
     informative = set()
     for row in sweep(config).rows:
         n, p = row.n, row.p
-        need = math.ceil(NLOGN1.f_value(n)) + n - 2
+        need = math.ceil(spec.f_value(n)) + n - 2
         predicted = binom.sf(need - 1, n * (n - 1) // 2, p) * math.exp(-n * (1 - p) ** (n - 1))
         se = math.sqrt(predicted * (1 - predicted) / row.trials)
         assert abs(row.frac_yes - predicted) <= 3 * se + 1 / row.trials, row
         if 0.1 <= predicted <= 0.9:
             informative.add(n)
     assert informative == {500, 2000}  # a row inside the transition at each n
+
+
+def test_nlogn_sweep_matches_binomial_prediction():
+    assert_sweep_matches_binomial_prediction(NLOGN1, (1.7, 1.8, 1.9))
+
+
+def test_nlogn_sweep_where_connectivity_binds_matches_binomial_prediction():
+    # below ell* = 1/2 - 1/ln n the connectivity factor sets the crossing
+    assert_sweep_matches_binomial_prediction(ThresholdSpec.nlogn(0.25), (1.8, 2.0, 2.2))
+
+
+def test_sparse_sweep_matches_binomial_prediction():
+    # f = n: YES is connectivity; the multipliers stay off x1.0, the steepest point
+    assert_sweep_matches_binomial_prediction(ThresholdSpec.power(1.0), (0.9, 1.2, 1.5))
