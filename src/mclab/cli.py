@@ -291,7 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest vertex count for the exact chromatic bound")
     an.add_argument("--kappa-cap", type=int, default=DEFAULT_KAPPA_CAP,
                     help="largest vertex count for the connectivity bound and "
-                         "certificate (a), complement 4-connected")
+                         "certificate (a), complement 4-connected; vertex pairs "
+                         "short of disjoint paths take augmenting searches on "
+                         "neighbour bitmasks")
     an.set_defaults(func=cmd_analyze)
 
     ver = subs.add_parser("verify", help="check a coloring file against a graph file")

@@ -34,11 +34,11 @@ from .graphs import (
     EdgePair,
     Graph,
     _has_far_pair,
+    _least_pair_connectivity,
+    _neighbour_masks,
     chromatic_number,
-    complement,
     component_labels,
     is_connected,
-    is_k_connected,
     is_triangle_free,
     max_degree,
     min_degree,
@@ -65,7 +65,8 @@ EXACT_ORACLE = "EXACT_ORACLE"
 # about 20 ms in CPython 3.11 on one core
 DEFAULT_ORACLE_CAP = 12
 # the kappa bound and certificate (a) are skipped beyond this; each bounds
-# O(n + delta^2) vertex pairs, most without a max-flow
+# O(n + delta^2) vertex pairs, most settled by short paths, and a pair that
+# falls short takes augmenting searches on the neighbour masks
 DEFAULT_KAPPA_CAP = 64
 
 
@@ -228,8 +229,8 @@ def mc_upper_bound(
 
     The chromatic term joins only when n <= chi_cap (exact chi is exponential),
     the connectivity term only when n <= kappa_cap (kappa bounds O(n + delta^2)
-    vertex pairs, most of them without a max-flow). Returns the bound and the
-    tags of every term achieving it.
+    vertex pairs, most of them without an augmenting search). Returns the
+    bound and the tags of every term achieving it.
     """
     if g.n < 2:
         raise ValueError("upper bound needs at least 2 vertices")
@@ -264,6 +265,12 @@ def exactness_certificate(
     connected graphs on more than 3 vertices; condition (a) is skipped (never
     fires) when n > kappa_cap.
 
+    Condition (a) builds no complement graph. The complement's neighbour masks
+    are g's complemented, ``full ^ masks[v] ^ 1 << v``, its least degree is
+    n - 1 - Delta, at a vertex of g's largest degree, and vertex
+    connectivity's pair search runs on them with cap 4. So no search runs
+    when n - 1 - Delta < 4.
+
     Condition (d) runs no BFS: on a connected graph, diameter >= 3 holds iff
     some two vertices have no common neighbour and no edge. Each vertex ORs
     the neighbour bitmasks of its neighbours into its own closed
@@ -282,8 +289,11 @@ def exactness_certificate(
     n, m = g.n, g.m
     if n <= 3:
         raise ValueError("hypothesis violated: certificate requires more than 3 vertices")
-    if n <= kappa_cap and is_k_connected(complement(g), 4):
-        return EXACT_A
+    if n <= kappa_cap and n - 1 - max_degree(g) >= 4:
+        full = (1 << n) - 1
+        far = [full ^ mask ^ 1 << v for v, mask in enumerate(_neighbour_masks(g, 0, n))]
+        if _least_pair_connectivity(far, int(np.argmax(g.degrees)), 4, 3) == 4:
+            return EXACT_A
     if is_triangle_free(g):
         return EXACT_B
     if _degree_certificate(n, m, max_degree(g)):

@@ -9,10 +9,12 @@ over neighbour bitmasks up to ``_SMALL_EDGES`` edges, scipy's labelling above),
 and one symmetric CSR adjacency matrix with sorted rows. Connectivity, vertex
 connectivity, certificate (d)'s far-pair test and the chromatic number read
 neighbourhoods as Python-int bitmasks from one builder: a loop over the edges
-up to ``_SMALL_EDGES`` edges, CSR row blocks above. The triangle test reads
-none of it but the degrees: it first looks for a triangle through vertex 0 in
-the rows of its neighbours, and only when none exists orients the edge array
-into a CSR of its own.
+up to ``_SMALL_EDGES`` edges, CSR row blocks above. Vertex connectivity reads
+nothing else: its pairs' short paths, and the augmenting searches that grow
+them, run on the masks, as certificate (a) does on the complemented masks.
+The triangle test reads none of it but the degrees: it first looks for a
+triangle through vertex 0 in the rows of its neighbours, and only when none
+exists orients the edge array into a CSR of its own.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.csgraph import connected_components as _scipy_components
-from scipy.sparse.csgraph import maximum_flow, shortest_path
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import CapExceededError, NotConnectedError
 
@@ -426,22 +428,6 @@ def complement(g: Graph) -> Graph:
     return Graph(n, np.argwhere(absent))
 
 
-def _split_network(g: Graph) -> csr_matrix:
-    """Split digraph whose maximum flows count vertex-disjoint paths.
-
-    Vertex v becomes the arc 2v -> 2v+1 of capacity 1, and each edge uv the
-    arcs 2u+1 -> 2v and 2v+1 -> 2u of capacity n, more than any flow here. The
-    maximum flow from 2s+1 to 2t is then the fewest vertices separating the
-    non-adjacent s and t.
-    """
-    n, arr = g.n, g.edge_array
-    ins = 2 * np.arange(n)
-    heads = np.concatenate((ins, 2 * arr[:, 0] + 1, 2 * arr[:, 1] + 1))
-    tails = np.concatenate((ins + 1, 2 * arr[:, 1], 2 * arr[:, 0]))
-    caps = np.concatenate((np.ones(n, dtype=np.int32), np.full(2 * g.m, n, dtype=np.int32)))
-    return csr_matrix((caps, (heads, tails)), shape=(2 * n, 2 * n))
-
-
 def _separating_pairs(masks: list[int], v: int) -> Iterator[tuple[int, int]]:
     """Non-adjacent pairs (s, t), one at a time, whose least local connectivity
     is kappa on a non-complete graph with neighbour masks ``masks`` and v of
@@ -466,7 +452,9 @@ def _separating_pairs(masks: list[int], v: int) -> Iterator[tuple[int, int]]:
             later ^= low
 
 
-def _short_paths(masks: list[int], s: int, t: int, need: int) -> int:
+def _short_paths(
+    masks: list[int], s: int, t: int, need: int, pred: dict[int, int] | None = None
+) -> int:
     """Internally disjoint s-t paths of length 2 and 3, counted until the
     count reaches ``need``; ``masks[v]`` has bit u set iff u ~ v.
 
@@ -477,10 +465,19 @@ def _short_paths(masks: list[int], s: int, t: int, need: int) -> int:
     but s and t lies on two of these paths. A's vertices go in ascending
     order of their number of partners in B, ties by vertex, and each takes
     its lowest free partner.
+
+    Given ``pred``, a count short of ``need`` also records its paths there,
+    each inner vertex mapped to the vertex before it: c and a to s, b to a.
     """
-    paths = (masks[s] & masks[t]).bit_count()
+    common = masks[s] & masks[t]
+    paths = common.bit_count()
     if paths >= need:
         return paths
+    if pred is not None:
+        while common:
+            low = common & -common
+            pred[low.bit_length() - 1] = s
+            common ^= low
     side_s, side_t = masks[s] & ~masks[t], masks[t] & ~masks[s]
     options = []
     while side_s:
@@ -493,43 +490,120 @@ def _short_paths(masks: list[int], s: int, t: int, need: int) -> int:
     for _, a in options:
         avail = masks[a] & free
         if avail:
-            free ^= avail & -avail
+            low = avail & -avail
+            free ^= low
+            if pred is not None:
+                pred[a], pred[low.bit_length() - 1] = s, a
             paths += 1
             if paths == need:
                 break
     return paths
 
 
-def _least_pair_connectivity(g: Graph, cap: int, stop: int) -> int:
+def _augment(masks: list[int], s: int, t: int, pred: dict[int, int]) -> bool:
+    """Add one internally disjoint s-t path to those in ``pred`` (each inner
+    vertex mapped to the vertex before it on its path), if the flow they
+    carry has an augmenting path; True iff one was found.
+
+    The search is breadth-first in the vertex-split residual network, where
+    vertex v has an in-state 2v, entered along edges, and an out-state 2v + 1,
+    left along edges, joined by an arc of capacity 1 that a path through v
+    fills. From the out-state of x the search enters the in-state of every
+    neighbour of x, and of x itself when x is on a path, undoing its arc. From
+    the in-state of y it moves to y's out-state when y is free, and otherwise
+    to the out-state of pred[y], undoing the edge pred[y]-y. Each level ORs
+    the masks of its out-states, as :func:`_has_far_pair` does. The walk back
+    from t enters each in-state from any out-state of the level before that
+    holds it: a vertex of that level in its mask, since adjacency is
+    symmetric, or the vertex itself.
+    """
+    flowing = 0
+    for v in pred:
+        flowing |= 1 << v
+    seen = front = 1 << s
+    levels, back = [], {}
+    while front:
+        levels.append(front)
+        reach, rest = front & flowing, front
+        while rest:
+            low = rest & -rest
+            reach |= masks[low.bit_length() - 1]
+            rest ^= low
+        reach &= ~seen
+        if reach >> t & 1:
+            break
+        seen |= reach
+        # no out-state is met twice: a free vertex's is reached from its own
+        # in-state alone, and pred[y]'s from y's, its one successor
+        front, rest = reach & ~flowing, reach & flowing
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            if pred[y] != s:
+                back[pred[y]] = y
+                front |= 1 << pred[y]
+            rest ^= low
+    else:
+        return False
+    w = t
+    for front in reversed(levels):
+        link = masks[w] & front
+        if link:  # the path runs x -> w
+            x = (link & -link).bit_length() - 1
+            if w != t:
+                pred[w] = x
+        else:  # from w's out-state back to its in-state: w leaves its path
+            x = w
+            del pred[w]
+        w = back.get(x, x)
+    return True
+
+
+def _local_connectivity(masks: list[int], s: int, t: int, need: int) -> int:
+    """min(need, kappa(s, t)) for non-adjacent s and t: by Menger's theorem
+    the most internally disjoint s-t paths, capped at ``need``.
+
+    Most pairs stop at the count of :func:`_short_paths`. A pair that falls
+    short counts again, recording its short paths, and grows them one
+    augmenting search (:func:`_augment`) at a time until it has ``need`` of
+    them or no search finds a path.
+    """
+    paths = _short_paths(masks, s, t, need)
+    if paths < need:
+        pred: dict[int, int] = {}
+        _short_paths(masks, s, t, need, pred)
+        while paths < need and _augment(masks, s, t, pred):
+            paths += 1
+    return min(paths, need)
+
+
+def _least_pair_connectivity(masks: list[int], v: int, cap: int, stop: int) -> int:
+    """min(cap, kappa), or the first value at most ``stop`` the search meets, of
+    the graph with neighbour masks ``masks``, v of minimum degree and ``cap``
+    at most that degree: each pair of :func:`_separating_pairs` is capped at
+    the running minimum (see :func:`_local_connectivity`)."""
+    least = cap
+    for s, t in _separating_pairs(masks, v):
+        least = _local_connectivity(masks, s, t, least)
+        if least <= stop:
+            break
+    return least
+
+
+def _connectivity(g: Graph, cap: int, stop: int) -> int:
     """min(cap, kappa(g)), or the first value at most ``stop`` the search meets;
     kappa is 0 for a disconnected graph and n - 1 for a complete one, K_1 too.
 
-    The cap is clipped to delta before any mask is built. Each pair of
-    :func:`_separating_pairs` is capped at the running minimum, and most reach it
-    without a flow: :func:`_short_paths`, on the masks of all n vertices from
-    :func:`_neighbour_masks`, finds disjoint paths s-c-t through the common
-    neighbours and s-a-b-t through a greedy matching, at most kappa(s, t) of them
-    by Menger's theorem. The pairs still short each take a maximum flow on one
-    split network, built at the first of them.
+    The cap is clipped to delta, which is n - 1 on a complete graph, before any
+    mask is built, and a complete graph has no pair to lower it.
     """
     if not is_connected(g):
         return 0
-    if g.is_complete():
-        return min(cap, g.n - 1)
     cap = min(cap, min_degree(g))
     if cap <= stop:
         return cap
     masks = _neighbour_masks(g, 0, g.n)
-    least, net = cap, None
-    for s, t in _separating_pairs(masks, int(np.argmin(g.degrees))):
-        if _short_paths(masks, s, t, least) >= least:
-            continue
-        if net is None:
-            net = _split_network(g)
-        least = min(least, int(maximum_flow(net, 2 * s + 1, 2 * t).flow_value))
-        if least <= stop:
-            break
-    return least
+    return _least_pair_connectivity(masks, int(np.argmin(g.degrees)), cap, stop)
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -538,25 +612,29 @@ def vertex_connectivity(g: Graph) -> int:
 
     Bounds at most (n - 1 - delta) + delta(delta - 1)/2 pairs (see
     :func:`_separating_pairs`), and stops once the minimum reaches 1. Most
-    pairs need no flow: the common neighbours of the two ends, and the edges
-    of a greedy matching between their other neighbours, give internally
-    disjoint paths of length 2 and 3, at most kappa(s, t) of them, and a pair
-    with as many as the running minimum cannot lower it (see
-    :func:`_short_paths`).
+    pairs need no search: the common neighbours of the two ends, and the
+    edges of a greedy matching between their other neighbours, give
+    internally disjoint paths of length 2 and 3, at most kappa(s, t) of them,
+    and a pair with as many as the running minimum cannot lower it (see
+    :func:`_short_paths`). A pair that falls short grows its short paths by
+    augmenting searches on the masks, only up to the running minimum (see
+    :func:`_local_connectivity`).
     """
-    return _least_pair_connectivity(g, g.n, 1)
+    return _connectivity(g, g.n, 1)
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff the graph stays connected after removing any k - 1 vertices.
 
     Stops at the first pair of :func:`_separating_pairs` that fewer than k
-    vertices separate. A pair needs no flow when its common neighbours and
+    vertices separate. A pair needs no search when its common neighbours and
     the edges of a greedy matching between the other neighbours of its ends
     give k internally disjoint paths of length 2 and 3, since fewer than k
-    vertices cannot cut them all (see :func:`_short_paths`).
+    vertices cannot cut them all (see :func:`_short_paths`); one short of k
+    grows them by augmenting searches until it has k or none is left (see
+    :func:`_local_connectivity`).
     """
-    return k <= 0 or _least_pair_connectivity(g, k, k - 1) == k
+    return k <= 0 or _connectivity(g, k, k - 1) == k
 
 
 def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> int:

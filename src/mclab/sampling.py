@@ -56,6 +56,14 @@ def mix64(x: int) -> int:
     return x
 
 
+def _index(value) -> int:
+    """``operator.index``, which refuses floats and strings where int() would
+    take them, refusing bools too: True is neither a seed nor a count."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class RngSeed:
     """Master seed plus a stream index; together they pin every random draw."""
@@ -64,8 +72,8 @@ class RngSeed:
     stream_index: int = 0
 
     def __post_init__(self):
-        try:  # operator.index refuses floats and strings where int() would take them
-            master, stream = operator.index(self.master_seed), operator.index(self.stream_index)
+        try:
+            master, stream = _index(self.master_seed), _index(self.stream_index)
         except TypeError:
             raise ValueError("master_seed and stream_index must be integers") from None
         if not (0 <= master <= _MASK64):

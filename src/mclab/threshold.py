@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ import numpy as np
 from . import graphs
 from .errors import UnsupportedSpecError
 from .graphs import Graph
-from .sampling import RngSeed, _decode_rows, _draw
+from .sampling import RngSeed, _decode_rows, _draw, _index
 
 # f(n) preset families
 CONSTANT = "CONSTANT"
@@ -106,8 +105,8 @@ class ThresholdSpec:
             ell = float(ell)
         elif ell is not None:
             raise ValueError("key 'ell': not used by the custom family with a SPARSE regime")
-        try:  # operator.index refuses 100.5 and "100" where int() would take them
-            ns = [operator.index(k) for k in values]
+        try:
+            ns = [_index(k) for k in values]
         except TypeError:
             raise ValueError("key 'table': every n must be an integer") from None
         table = tuple(sorted(zip(ns, map(float, values.values()))))
@@ -276,11 +275,8 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("n_list", "trials", "master_seed", "workers"):
             value = getattr(self, name)
-            try:  # operator.index refuses floats where int() would truncate them
-                if name == "n_list":
-                    value = tuple(map(operator.index, value))
-                else:
-                    value = operator.index(value)
+            try:
+                value = tuple(map(_index, value)) if name == "n_list" else _index(value)
             except TypeError:
                 raise ValueError(f"{name} must hold integers, got {value!r}") from None
             object.__setattr__(self, name, value)

@@ -211,11 +211,18 @@ def brute_vertex_connectivity(n, edges):
 
 def brute_local_connectivity(n, edges, s, t):
     """Fewest vertices other than the non-adjacent s and t whose removal leaves
-    them in different components, by enumerating cuts in order of size."""
+    them in different components, by enumerating cuts in order of size and
+    searching from s around each one."""
+    adj = adjacency(n, edges)
     others = [v for v in range(n) if v not in (s, t)]
     for k in range(len(others) + 1):
         for cut in itertools.combinations(others, k):
-            if not any(s in comp and t in comp for comp in brute_components(n, edges, skip=cut)):
+            seen, stack = {s, *cut}, [s]
+            while stack:
+                for v in adj[stack.pop()] - seen:
+                    seen.add(v)
+                    stack.append(v)
+            if t not in seen:
                 return k
     raise AssertionError("unreachable: removing every other vertex separates s and t")
 

@@ -543,3 +543,32 @@ def test_module_usage_error_exits_2(tmp_path):
     proc = run_module(["threshold", "--family", "bogus", "--n", "1000"], cwd=tmp_path)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+# the predicted median crossing c50, as a multiple of threshold_p, of
+# f = ell n ln n at n = 500, 2000 and 8000 (README, "Reading the transition")
+C50 = {0.1: (2.68, 2.85, 3.02), 0.25: (1.94, 2.03, 2.10), 0.5: (1.67, 1.65, 1.64),
+       1.0: (1.80, 1.79, 1.79), 2.0: (1.89, 1.88, 1.88)}
+
+
+def test_committed_sweep_configs_parse():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    seen = {}
+    for path in sorted(configs.glob("*.cfg")):
+        experiment = mclab.cli.read_config(path)
+        config = experiment.sweep
+        assert experiment.output == path.stem + ".csv"
+        assert config.n_list == (500, 2000, 8000)
+        assert (config.trials, config.master_seed, config.workers) == (100, 11, 1)
+        multipliers = config.multiplier_list
+        assert list(multipliers) == sorted(multipliers)
+        spec = config.spec
+        if spec.family == "NLOGN":
+            assert min(multipliers) < min(C50[spec.ell]) and max(C50[spec.ell]) < max(multipliers)
+            seen[path.name] = spec.ell
+        else:
+            # f = n, whose crossing sits near 1.05
+            assert spec == ThresholdSpec.power(1.0) and spec.regime == "SPARSE"
+            assert multipliers == (0.9, 1.0, 1.1, 1.2)
+            seen[path.name] = "n"
+    assert sorted(seen.values(), key=str) == sorted([*C50, "n"], key=str)

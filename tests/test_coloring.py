@@ -467,6 +467,36 @@ def test_certificate_matches_reference_exhaustive_and_sampled():
     assert seen == {EXACT_A, EXACT_B, EXACT_C, EXACT_D, EXACT_E, None}
 
 
+def test_certificate_a_reaches_four_by_augmenting_searches(monkeypatch):
+    # (a) runs vertex connectivity's pair search on the complemented masks; on
+    # these graphs some pair of the complement has fewer than 4 short paths
+    searches = []
+    real = mclab.graphs._augment
+
+    def counted(masks, s, t, pred):
+        found = real(masks, s, t, pred)
+        searches.append(found)
+        return found
+
+    monkeypatch.setattr(mclab.graphs, "_augment", counted)
+    # n = 9, p = 0.25: the one search of the pair that falls short fails, so
+    # (a) fails, and (b), triangle-free, holds
+    graphs = [sample_gnp(9, 0.25, RngSeed(77, 162))]
+    graphs += [sample_gnp(8 + i % 5, 0.2 + 0.05 * (i % 5), RngSeed(2024, i)) for i in range(600)]
+    reached = []
+    for g in graphs:
+        if not mclab.graphs.is_connected(g):
+            continue
+        searches.clear()
+        cert = exactness_certificate(g)
+        if searches:
+            co_edges = oracles.brute_complement(g.n, list(g.edges))
+            assert (cert == EXACT_A) == oracles.brute_is_k_connected(g.n, co_edges, 4), g
+            reached.append((cert, any(searches)))
+    assert reached[0] == (EXACT_B, False)
+    assert reached.count((EXACT_A, True)) >= 10
+
+
 def two_cliques_sharing_a_vertex(a):
     """Copies of K_a on 0..a-1 and on 0, a..2a-2: n = 2a - 1, diameter 2, cut vertex 0."""
     second = [0, *range(a, 2 * a - 1)]
@@ -732,7 +762,7 @@ def test_analyze_labels_each_graph_once(monkeypatch):
         arr = g.edge_array
         labelled = 1 if g.m > _SMALL_EDGES else 0
         assert calls[g.n, arr[:, 0].tobytes(), arr[:, 1].tobytes()] == labelled
-        assert set(calls.values()) <= {1}  # the complement and G - v are other graphs
+        assert set(calls.values()) <= {1}  # G - v, for (e), is another graph
         if g.m <= 9:
             assert b.exact == oracles.oracle_mc(g.n, list(g.edges))
     calls.clear()

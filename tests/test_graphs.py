@@ -500,42 +500,42 @@ def test_connectivity_needs_the_neighbour_pairs():
     assert not is_k_connected(g, 3)
 
 
-def test_connectivity_runs_esfahanian_hakimi_flows_on_one_network(monkeypatch):
-    flows, builds = [], []
-    real_flow, real_build = graphs.maximum_flow, graphs._split_network
+def counting_searches(monkeypatch):
+    """Record each augmenting search of the connectivity pairs as ((s, t), found)."""
+    searches = []
+    real = graphs._augment
 
-    def counting_flow(net, source, sink):
-        result = real_flow(net, source, sink)
-        flows.append(((source, sink), result.flow_value))
-        return result
+    def counted(masks, s, t, pred):
+        found = real(masks, s, t, pred)
+        searches.append(((s, t), found))
+        return found
 
-    def counting_build(g):
-        builds.append(g)
-        return real_build(g)
+    monkeypatch.setattr(graphs, "_augment", counted)
+    return searches
 
-    monkeypatch.setattr(graphs, "maximum_flow", counting_flow)
-    monkeypatch.setattr(graphs, "_split_network", counting_build)
+
+def test_connectivity_runs_esfahanian_hakimi_searches(monkeypatch):
+    searches = counting_searches(monkeypatch)
     g = sample_gnp(64, 0.3, RngSeed(6))
     comp = complement(g)
     for h, query in ((g, vertex_connectivity), (comp, lambda h: is_k_connected(h, 4))):
-        flows.clear()
-        builds.clear()
+        searches.clear()
         query(h)
         n, delta = h.n, min_degree(h)
-        assert builds in ([], [h]) and bool(builds) == bool(flows)
-        assert len(flows) <= (n - 1 - delta) + delta * (delta - 1) // 2
-    flows.clear()
+        assert len({pair for pair, _ in searches}) <= (n - 1 - delta) + delta * (delta - 1) // 2
+    searches.clear()
     assert vertex_connectivity(g) == 12
-    assert 0 < len(flows) < 100  # every non-adjacent pair would be 1,423 flows
+    assert 0 < len(searches) < 100  # a search per non-adjacent pair would be 1,423
     # in Esfahanian-Hakimi order, until the running minimum (delta at first)
     # reaches 1: a pair whose common neighbours plus a maximum matching between
     # the neighbours of one end alone and those of the other fall short of the
-    # minimum takes a flow, and a pair that takes one has fewer common
-    # neighbours than the minimum
+    # minimum takes searches, and a pair that takes them has fewer common
+    # neighbours than the minimum. Each search but the last finds a path; the
+    # last fails iff the pair's local connectivity is below the minimum, and
+    # the paths found lift the short paths' count to the lower of the two
     for h in connected_non_complete(range(3, 6)) + [g, two_cliques_sharing(6, 2)]:
-        flows.clear()
+        searches.clear()
         vertex_connectivity(h)
-        got = dict(flows)
         edges = list(h.edges)
         adj = oracles.adjacency(h.n, edges)
         least, taken = min_degree(h), []
@@ -543,15 +543,24 @@ def test_connectivity_runs_esfahanian_hakimi_flows_on_one_network(monkeypatch):
             if least <= 1:
                 break
             shared = len(adj[s] & adj[t])
-            if (2 * s + 1, 2 * t) in got:
-                assert shared < least, (h, s, t)
-                taken.append((2 * s + 1, 2 * t))
-                least = min(least, got[2 * s + 1, 2 * t])
-            elif shared < least:
-                matched = oracles.brute_bipartite_matching(
-                    h.n, edges, adj[s] - adj[t], adj[t] - adj[s])
+            found = [hit for pair, hit in searches if pair == (s, t)]
+            if not found and shared >= least:
+                continue
+            matched = oracles.brute_bipartite_matching(
+                h.n, edges, adj[s] - adj[t], adj[t] - adj[s])
+            if not found:
                 assert shared + matched >= least, (h, s, t)
-        assert [pair for pair, _ in flows] == taken, h
+                continue
+            assert shared < least, (h, s, t)
+            taken.append((s, t))
+            # kappa(G(64, 0.3)) = 12 is its minimum degree: no pair falls below it
+            local = least if h is g else oracles.brute_local_connectivity(h.n, edges, s, t)
+            assert found[:-1] == [True] * (len(found) - 1) and found[-1] == (local >= least)
+            reached = min(least, local)
+            assert reached - shared - matched <= found.count(True) <= reached - shared, (h, s, t)
+            least = reached
+        assert [pair for i, (pair, _) in enumerate(searches)
+                if i == 0 or searches[i - 1][0] != pair] == taken, h
 
 
 def test_short_paths_never_exceed_local_connectivity():
@@ -576,27 +585,90 @@ def test_short_paths_never_exceed_local_connectivity():
             shared = len(adj[s] & adj[t])
             assert shared <= paths <= oracles.brute_local_connectivity(h.n, edges, s, t), (h, s, t)
             beyond_shared += paths > shared
+            # recorded, the same count is that many paths from s to t: each inner
+            # vertex follows an adjacent one or s, no two follow the same one,
+            # and the last of each is adjacent to t
+            pred = {}
+            assert graphs._short_paths(masks, s, t, h.n, pred) == paths
+            inner = [v for v, u in pred.items() if u != s]
+            assert all(u in adj[v] for v, u in pred.items())
+            assert len(set(pred[v] for v in inner)) == len(inner)
+            assert sum(u == s for u in pred.values()) == paths
+            ends = set(pred) - set(pred.values())
+            assert len(ends) == paths and all(t in adj[v] for v in ends), (h, s, t)
     assert beyond_shared > 100
 
 
-def test_matching_spares_the_flows_of_large_graphs(monkeypatch):
-    flows = []
-    real_flow = graphs.maximum_flow
+def test_local_connectivity_matches_brute_force_every_need():
+    # every connected graph with n <= 6, and a seeded sample with n = 7 to 10
+    cases = [(n, edges) for n in range(3, 7) for edges in oracles.all_edge_subsets(n)
+             if oracles.brute_connected(n, edges)]
+    for i in range(40):
+        g = sample_gnp(7 + i % 4, 0.2 + 0.6 * (i % 5) / 4, RngSeed(4040, i))
+        cases.append((g.n, list(g.edges)))
+    searched = 0
+    for n, edges in cases:
+        adj = oracles.adjacency(n, edges)
+        masks = [sum(1 << u for u in nbrs) for nbrs in adj]
+        for s, t in oracles.all_pairs(n):
+            if t in adj[s]:
+                continue
+            local = oracles.brute_local_connectivity(n, edges, s, t)
+            got = [graphs._local_connectivity(masks, s, t, need) for need in range(1, n)]
+            assert got == [min(need, local) for need in range(1, n)], (n, edges, s, t)
+            searched += local > graphs._short_paths(masks, s, t, n)
+    assert searched > 1000  # pairs whose short paths stop below their local connectivity
 
-    def counting_flow(net, source, sink):
-        flows.append((source, sink))
-        return real_flow(net, source, sink)
 
-    monkeypatch.setattr(graphs, "maximum_flow", counting_flow)
+def test_augmenting_searches_undo_recorded_paths(monkeypatch):
+    log = []
+    real = graphs._augment
+
+    def counted(masks, s, t, pred):
+        before = dict(pred)
+        found = real(masks, s, t, pred)
+        log.append((found, before, dict(pred)))
+        return found
+
+    monkeypatch.setattr(graphs, "_augment", counted)
+    # s = 0 and t = 1 share no neighbour, and the matching's only edge is
+    # 2-3, so the short path is 0-2-3-1. The second path reaches 3 along
+    # 0-4-5-3 and undoes the recorded edge 2-3, and 2 goes on by 6-7
+    edges = [(0, 2), (0, 4), (1, 3), (1, 7), (2, 3), (2, 6), (3, 5), (4, 5), (6, 7)]
+    masks = [sum(1 << u for u in nbrs) for nbrs in oracles.adjacency(8, edges)]
+    assert graphs._short_paths(masks, 0, 1, 2) == 1
+    assert graphs._local_connectivity(masks, 0, 1, 2) == 2
+    assert log == [(True, {2: 0, 3: 2}, {4: 0, 5: 4, 3: 5, 2: 0, 6: 2, 7: 6})]
+    log.clear()
+    assert graphs._local_connectivity(masks, 0, 1, 3) == 2 == oracles.brute_local_connectivity(
+        8, edges, 0, 1)
+    assert [found for found, _, _ in log] == [True, False]
+    # s = 3 and t = 10: the short path 3-0-10, then 3-6-2-1-10 by a search.
+    # The next search enters 1 along 9-1, goes back to 2's out-state and from
+    # there to its in-state, so 2 leaves its path: the two become 3-5-9-1-10
+    # and 3-6-7-8-10
+    edges = [(0, 1), (0, 3), (0, 5), (0, 9), (0, 10), (1, 2), (1, 9), (1, 10), (2, 6),
+             (3, 4), (3, 5), (3, 6), (4, 6), (5, 9), (6, 7), (7, 8), (8, 10)]
+    masks = [sum(1 << u for u in nbrs) for nbrs in oracles.adjacency(12, edges)]
+    log.clear()
+    assert graphs._local_connectivity(masks, 3, 10, 11) == 3
+    assert oracles.brute_local_connectivity(12, edges, 3, 10) == 3
+    assert [found for found, _, _ in log] == [True, True, False]
+    assert log[1][1] == {0: 3, 1: 2, 2: 6, 6: 3}
+    assert log[1][2] == {0: 3, 1: 9, 6: 3, 7: 6, 8: 7, 9: 5, 5: 3}
+
+
+def test_matching_spares_the_searches_of_large_graphs(monkeypatch):
+    searches = counting_searches(monkeypatch)
     # every pair of both queries has fewer common neighbours than the minimum,
-    # so each would take a flow without the matching; under 1% of them do
+    # so each would take augmenting searches without the matching; under 1% do
     sparse, dense = sample_gnp(2000, 0.05, RngSeed(5)), sample_gnp(600, 0.5, RngSeed(11))
     assert [sum(1 for _ in separating_pairs(h)) for h in (sparse, dense)] == [4224, 17662]
     assert is_k_connected(sparse, 25)
-    assert len(flows) < 4224 // 100
-    flows.clear()
+    assert len(searches) < 4224 // 100
+    searches.clear()
     assert vertex_connectivity(dense) == 264  # its minimum degree
-    assert len(flows) < 17662 // 100
+    assert len(searches) < 17662 // 100
 
 
 def test_connectivity_draws_pairs_lazily(monkeypatch):
@@ -610,7 +682,7 @@ def test_connectivity_draws_pairs_lazily(monkeypatch):
 
     monkeypatch.setattr(graphs, "_separating_pairs", counted)
     # the first pair, vertex 0 and vertex 6 of the other clique, has the two
-    # shared vertices as its only paths, so its flow ends the search at 2 < 3
+    # shared vertices as its only paths, so its failed search ends it at 2 < 3
     assert not is_k_connected(two_cliques_sharing(6, 2), 3)
     assert drawn == [(0, 6)]
 

@@ -57,6 +57,10 @@ def test_rng_seed_validation():
         RngSeed("7")
     with pytest.raises(ValueError, match="integers"):
         RngSeed(7, 2.0)
+    # operator.index alone reads True and False as 1 and 0
+    for bad in ((True, 0), (1, False), (True, False)):
+        with pytest.raises(ValueError, match="integers"):
+            RngSeed(*bad)
     seed = RngSeed(np.uint64(7), np.int32(3))
     assert type(seed.master_seed) is int and type(seed.stream_index) is int
     assert seed == RngSeed(7, 3)

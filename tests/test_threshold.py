@@ -73,8 +73,8 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="'table'"):
             ThresholdSpec.custom({100: 5.0, 200: value}, SPARSE)
     # n must be an integer: int() would read 100.5 and "100" as 100, and two
-    # keys would then both land on n = 100
-    for table in ({100.5: 50.0}, {"100": 50.0}, {100: 1.0, 100.7: 2.0}):
+    # keys would then both land on n = 100; True would be n = 1
+    for table in ({100.5: 50.0}, {"100": 50.0}, {100: 1.0, 100.7: 2.0}, {True: 0.5, 20: 30.0}):
         with pytest.raises(ValueError, match="'table'"):
             ThresholdSpec.custom(table, SPARSE)
     assert ThresholdSpec.custom({np.int64(100): 50.0}, SPARSE).table == ((100, 50.0),)
@@ -343,8 +343,10 @@ def test_sweep_config_validation():
         with pytest.raises(ValueError, match="multipliers"):
             SweepConfig(**{**base, "multiplier_list": (1.0, multiplier)})
     # non-integers are refused at construction, never truncated or left for sweep()
+    # bools too, which operator.index alone would read as 1 and 0
     for key, value in (("n_list", (100.7,)), ("trials", 2.5), ("master_seed", 1.5),
-                       ("workers", 2.0)):
+                       ("workers", 2.0), ("n_list", (300, True)), ("trials", True),
+                       ("master_seed", False), ("workers", True)):
         with pytest.raises(ValueError, match=key):
             SweepConfig(**{**base, key: value})
     config = SweepConfig(**{**base, "n_list": [np.int64(300)], "trials": np.int64(5)})
