@@ -12,7 +12,7 @@ from .coloring import (
     spanning_tree_coloring,
     verify_mc_coloring,
 )
-from .errors import CapExceededError, FormatError, NotConnectedError, UnsupportedSpecError
+from .errors import CapExceededError, FormatError, NotConnectedError
 from .files import read_coloring, read_edge_list, write_coloring, write_edge_list
 from .graphs import (
     Graph,
@@ -53,7 +53,6 @@ __all__ = [
     "SweepReport",
     "ThresholdSpec",
     "TrialOutcome",
-    "UnsupportedSpecError",
     "analyze",
     "chernoff_lower_tail",
     "chernoff_upper_tail",

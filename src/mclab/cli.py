@@ -50,7 +50,7 @@ _FAMILY_KEYS = {
     "constant": {"c"},
     "power": {"alpha"},
     "nlogn": {"ell"},
-    "custom": {"table", "regime", "ell"},
+    "custom": {"table", "regime"},
 }
 
 
@@ -89,7 +89,7 @@ def build_spec(
         raise ConfigError("key 'table': required for the custom family")
     if regime is None:
         raise ConfigError("key 'regime': required for the custom family")
-    return ThresholdSpec.custom(table, regime.upper(), ell=ell)
+    return ThresholdSpec.custom(table, regime.upper())
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,3 @@ class CapExceededError(ValueError):
 
 class FormatError(ValueError):
     """Raised on malformed input files; messages carry a line number where applicable."""
-
-
-class UnsupportedSpecError(ValueError):
-    """Raised for threshold function specifications outside the supported regimes."""

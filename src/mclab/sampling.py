@@ -29,6 +29,7 @@ endpoints back for callers that need edge pairs.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -62,6 +63,15 @@ def _index(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is a bool, not an integer")
     return operator.index(value)
+
+
+def _real(value, message: str) -> float:
+    """``float(value)`` for a real number, numpy scalars included; a
+    ``ValueError(message)`` for a bool (numpy's too) or a string, which
+    float() would read as 1.0 or parse."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(message)
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -184,7 +194,7 @@ def _draw(n: int, p: float, seed: RngSeed) -> np.ndarray:
         raise ValueError("vertex count must be a positive integer")
     if n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} exceeds limit {MAX_VERTICES}")
-    p = float(p)
+    p = _real(p, "edge probability must be a real number")
     if math.isnan(p) or not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must lie in [0, 1], got {p}")
 

@@ -25,9 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import graphs
-from .errors import UnsupportedSpecError
 from .graphs import Graph
-from .sampling import RngSeed, _decode_rows, _draw, _index
+from .sampling import RngSeed, _decode_rows, _draw, _index, _real
 
 # f(n) preset families
 CONSTANT = "CONSTANT"
@@ -56,10 +55,9 @@ class ThresholdSpec:
     """A target function f(n) with its declared growth regime.
 
     Presets classify themselves: CONSTANT and POWER with exponent <= 1 are
-    SPARSE (they grow strictly slower than n log n), NLOGN is DENSE. POWER
-    with exponent > 1 is refused: the preset does not classify it, though
-    such an f can be given as a DENSE custom table. CUSTOM tables carry
-    whatever regime the caller declares.
+    SPARSE (they grow strictly slower than n log n), NLOGN and POWER with
+    exponent in (1, 2) are DENSE. CUSTOM tables carry whatever regime the
+    caller declares, and nothing more: the dense formula reads only f.
     """
 
     family: str
@@ -71,50 +69,43 @@ class ThresholdSpec:
 
     @staticmethod
     def constant(c: float) -> "ThresholdSpec":
-        c = float(c)
+        c = _real(c, "constant f must be a real number")
         if not math.isfinite(c) or c < 1:
             raise ValueError("constant f must be a finite value >= 1")
         return ThresholdSpec(family=CONSTANT, regime=SPARSE, c=c)
 
     @staticmethod
     def power(alpha: float) -> "ThresholdSpec":
-        alpha = float(alpha)
+        """f = n^alpha, SPARSE for alpha <= 1 and DENSE above: n^(alpha-1)/ln n
+        has a positive minimum on n >= 16, so n^alpha >= ell n ln n there for
+        some ell > 0. f < C(n, 2) is checked per n by :meth:`f_value`."""
+        alpha = _real(alpha, "power exponent must be a real number")
         if not (0 < alpha < 2):
             raise ValueError("power exponent must lie in (0, 2)")
-        if alpha > 1:
-            raise UnsupportedSpecError(
-                f"the power preset does not classify exponents above 1 (got {alpha}); "
-                f"give n^{alpha} as a custom table with regime DENSE and an ell instead"
-            )
-        return ThresholdSpec(family=POWER, regime=SPARSE, alpha=alpha)
+        return ThresholdSpec(family=POWER, regime=DENSE if alpha > 1 else SPARSE, alpha=alpha)
 
     @staticmethod
     def nlogn(ell: float = 1.0) -> "ThresholdSpec":
-        ell = float(ell)
+        ell = _real(ell, "ell must be a real number")
         if not math.isfinite(ell) or ell <= 0:
             raise ValueError("ell must be a positive finite value")
         return ThresholdSpec(family=NLOGN, regime=DENSE, ell=ell)
 
     @staticmethod
-    def custom(values: dict, regime: str, ell: Optional[float] = None) -> "ThresholdSpec":
+    def custom(values: dict, regime: str) -> "ThresholdSpec":
         if regime not in (DENSE, SPARSE):
             raise ValueError(f"regime must be DENSE or SPARSE, got {regime!r}")
-        if regime == DENSE:
-            if ell is None or not math.isfinite(float(ell)) or float(ell) <= 0:
-                raise ValueError("DENSE custom specs need a positive ell")
-            ell = float(ell)
-        elif ell is not None:
-            raise ValueError("key 'ell': not used by the custom family with a SPARSE regime")
         try:
             ns = [_index(k) for k in values]
         except TypeError:
             raise ValueError("key 'table': every n must be an integer") from None
-        table = tuple(sorted(zip(ns, map(float, values.values()))))
+        fs = [_real(v, "key 'table': every value must be a real number") for v in values.values()]
+        table = tuple(sorted(zip(ns, fs)))
         if not table:
             raise ValueError("custom table must not be empty")
         if not all(math.isfinite(v) for _, v in table):
             raise ValueError("key 'table': every value must be finite")
-        return ThresholdSpec(family=CUSTOM, regime=regime, ell=ell, table=table)
+        return ThresholdSpec(family=CUSTOM, regime=regime, table=table)
 
     def f_value(self, n: int) -> float:
         """Evaluate f(n), enforcing 1 <= f(n) < C(n, 2)."""
@@ -184,7 +175,7 @@ def chernoff_upper_tail(mu: float, delta: float) -> float:
 
 def connectivity_prob_limit(a: float) -> float:
     """Limit of P(G(n, (log n + a)/n) connected) as n grows: exp(-exp(-a))."""
-    a = float(a)
+    a = _real(a, "a must be a real number")
     if not math.isfinite(a):
         raise ValueError("a must be finite")
     return math.exp(-math.exp(-a))
@@ -280,9 +271,8 @@ class SweepConfig:
             except TypeError:
                 raise ValueError(f"{name} must hold integers, got {value!r}") from None
             object.__setattr__(self, name, value)
-        object.__setattr__(
-            self, "multiplier_list", tuple(float(x) for x in self.multiplier_list)
-        )
+        multipliers = (_real(x, "multipliers must be real numbers") for x in self.multiplier_list)
+        object.__setattr__(self, "multiplier_list", tuple(multipliers))
         if not self.n_list:
             raise ValueError("n_list must not be empty")
         if any(n < 1 for n in self.n_list):
@@ -387,7 +377,7 @@ def sweep(config: SweepConfig) -> SweepReport:
         for multiplier in config.multiplier_list:
             try:
                 base_p = threshold_p(config.spec, n)
-            except ValueError as exc:  # UnsupportedSpecError among them
+            except ValueError as exc:
                 cells.append((n, multiplier, 0.0, False, str(exc)))
                 continue
             p = multiplier * base_p

@@ -226,8 +226,11 @@ def test_threshold_below_domain_exits_2(capsys):
 def test_threshold_power_regimes(capsys):
     assert run(["threshold", "--family", "power", "--alpha", "1", "--n", "100"]) == 0
     assert "regime: SPARSE" in capsys.readouterr().out
-    assert run(["threshold", "--family", "power", "--alpha", "1.5", "--n", "100"]) == 2
-    capsys.readouterr()
+    assert run(["threshold", "--family", "power", "--alpha", "1.5", "--n", "100"]) == 0
+    assert "regime: DENSE" in capsys.readouterr().out
+    # 100^1.9 = 6310 is past C(100, 2) = 4950
+    assert run(["threshold", "--family", "power", "--alpha", "1.9", "--n", "100"]) == 2
+    assert "outside the supported range" in capsys.readouterr().err
 
 
 def test_threshold_custom_table(capsys):
@@ -235,6 +238,11 @@ def test_threshold_custom_table(capsys):
               "--table", "100:10,200:14", "--n", "100"])
     assert rc == 0
     assert "regime: SPARSE" in capsys.readouterr().out
+    # a finite table could not contradict an ell, and no formula reads one
+    rc = run(["threshold", "--family", "custom", "--regime", "dense", "--ell", "1",
+              "--table", "100:50", "--n", "100"])
+    assert rc == 2
+    assert "key 'ell': not used by the custom family" in capsys.readouterr().err
 
 
 def test_threshold_missing_family_field(capsys):
@@ -259,7 +267,6 @@ CUSTOM_CFG = (
     "# comment lines and blanks are ignored\n\n"
     "family = custom\n"
     "regime = dense\n"
-    "ell = 0.5\n"
     "table = 100:50.0,200:120.5\n"
     "n = 100,200\n"
     "multipliers = 0.5,1,2,5\n"
@@ -330,7 +337,7 @@ def test_sidecar_text_is_pinned(tmp_path):
     assert run(["sweep", str(cfg)]) == 0
     expected = (
         '{\n  "spec": {\n    "family": "CUSTOM",\n    "regime": "DENSE",\n'
-        '    "ell": 0.5,\n    "table": {\n      "100": 50.0,\n      "200": 120.5\n'
+        '    "table": {\n      "100": 50.0,\n      "200": 120.5\n'
         '    }\n  },\n  "n": [\n    100,\n    200\n  ],\n'
         '  "multipliers": [\n    0.5,\n    1.0,\n    2.0,\n    5.0\n  ],\n'
         '  "trials": 7,\n  "master_seed": 3,\n  "workers": 2,\n'
@@ -398,7 +405,7 @@ def test_sweep_missing_config_file_exits_2(tmp_path, capsys):
 def test_config_keeps_every_value():
     assert parse_config(CUSTOM_CFG) == ExperimentConfig(
         sweep=SweepConfig(
-            spec=ThresholdSpec.custom({100: 50.0, 200: 120.5}, "DENSE", ell=0.5),
+            spec=ThresholdSpec.custom({100: 50.0, 200: 120.5}, "DENSE"),
             n_list=(100, 200),
             multiplier_list=(0.5, 1.0, 2.0, 5.0),
             trials=7,
@@ -467,7 +474,8 @@ SPEC_VALUES = {"c": "2", "alpha": "0.5", "ell": "3", "regime": "dense", "table":
     ("power", "alpha = 0.5\n", ("c", "ell", "regime", "table")),
     ("nlogn", "", ("c", "alpha", "regime", "table")),
     ("custom", "regime = sparse\ntable = 100:5\n", ("c", "alpha", "ell")),
-], ids=["constant", "power", "nlogn", "custom"])
+    ("custom", "regime = dense\ntable = 100:5\n", ("c", "alpha", "ell")),
+], ids=["constant", "power", "nlogn", "custom", "custom-dense"])
 def test_config_rejects_keys_the_family_never_reads(tmp_path, capsys, family, needs, unused):
     base = f"family = {family}\n{needs}n = 100\nmaster_seed = 1\noutput = {tmp_path / 'o.csv'}\n"
     parse_config(base)
@@ -545,10 +553,19 @@ def test_module_usage_error_exits_2(tmp_path):
     assert "error:" in proc.stderr
 
 
-# the predicted median crossing c50, as a multiple of threshold_p, of
-# f = ell n ln n at n = 500, 2000 and 8000 (README, "Reading the transition")
-C50 = {0.1: (2.68, 2.85, 3.02), 0.25: (1.94, 2.03, 2.10), 0.5: (1.67, 1.65, 1.64),
-       1.0: (1.80, 1.79, 1.79), 2.0: (1.89, 1.88, 1.88)}
+# the predicted median crossing c50, as a multiple of threshold_p, at n = 500,
+# 2000 and 8000 (README, "Reading the transition"), of f = ell n ln n and of the
+# dense powers f = n^alpha
+C50 = {
+    ThresholdSpec.nlogn(0.1): (2.68, 2.85, 3.02),
+    ThresholdSpec.nlogn(0.25): (1.94, 2.03, 2.10),
+    ThresholdSpec.nlogn(0.5): (1.67, 1.65, 1.64),
+    ThresholdSpec.nlogn(1.0): (1.80, 1.79, 1.79),
+    ThresholdSpec.nlogn(2.0): (1.89, 1.88, 1.88),
+    ThresholdSpec.power(1.1): (1.78, 1.91, 2.01),
+    ThresholdSpec.power(1.5): (1.935, 1.957, 1.974),
+}
+F_IS_N = ThresholdSpec.power(1.0)
 
 
 def test_committed_sweep_configs_parse():
@@ -563,12 +580,11 @@ def test_committed_sweep_configs_parse():
         multipliers = config.multiplier_list
         assert list(multipliers) == sorted(multipliers)
         spec = config.spec
-        if spec.family == "NLOGN":
-            assert min(multipliers) < min(C50[spec.ell]) and max(C50[spec.ell]) < max(multipliers)
-            seen[path.name] = spec.ell
+        if spec == F_IS_N:
+            # a sparse spec, whose crossing sits near 1.05
+            assert spec.regime == "SPARSE" and multipliers == (0.9, 1.0, 1.1, 1.2)
         else:
-            # f = n, whose crossing sits near 1.05
-            assert spec == ThresholdSpec.power(1.0) and spec.regime == "SPARSE"
-            assert multipliers == (0.9, 1.0, 1.1, 1.2)
-            seen[path.name] = "n"
-    assert sorted(seen.values(), key=str) == sorted([*C50, "n"], key=str)
+            assert spec.regime == "DENSE"
+            assert min(multipliers) < min(C50[spec]) and max(C50[spec]) < max(multipliers)
+        seen[path.name] = spec
+    assert sorted(seen.values(), key=repr) == sorted([*C50, F_IS_N], key=repr)

@@ -175,6 +175,11 @@ def test_sample_gnp_rejects_bad_arguments():
     for bad_p in (float("nan"), -0.1, 1.0000001):
         with pytest.raises(ValueError):
             sample_gnp(5, bad_p, seed)
+    # float() would read True as 1.0 and parse "0.5"
+    for bad_p in (True, np.True_, "0.5"):
+        with pytest.raises(ValueError, match="edge probability must be a real number"):
+            sample_gnp(5, bad_p, seed)
+    assert sample_gnp(5, np.float32(0.5), seed) == sample_gnp(5, 0.5, seed)
     with pytest.raises(ValueError):
         sample_gnp(0, 0.5, seed)
 

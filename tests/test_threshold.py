@@ -10,7 +10,6 @@ import oracles
 import mclab.graphs
 import mclab.threshold
 from mclab.coloring import analyze, exact_mc_small
-from mclab.errors import UnsupportedSpecError
 from mclab.graphs import MAX_VERTICES, Graph, complete_graph, cycle_graph, star_graph
 from mclab.sampling import RngSeed, sample_gnp
 from mclab.threshold import (
@@ -45,9 +44,11 @@ def test_spec_auto_classification():
     assert ThresholdSpec.constant(4).regime == SPARSE
     assert ThresholdSpec.power(0.5).regime == SPARSE
     assert ThresholdSpec.power(1.0).regime == SPARSE
+    assert ThresholdSpec.power(1.1).regime == DENSE
+    assert ThresholdSpec.power(1.5).regime == DENSE
     assert NLOGN1.regime == DENSE
     assert ThresholdSpec.custom({100: 50.0}, SPARSE).regime == SPARSE
-    assert ThresholdSpec.custom({100: 700.0}, DENSE, ell=1.0).regime == DENSE
+    assert ThresholdSpec.custom({100: 700.0}, DENSE).regime == DENSE
 
 
 def test_spec_validation():
@@ -57,18 +58,26 @@ def test_spec_validation():
         ThresholdSpec.power(0)
     with pytest.raises(ValueError):
         ThresholdSpec.power(2)
-    with pytest.raises(UnsupportedSpecError):
-        ThresholdSpec.power(1.5)  # the preset does not classify exponents above 1
     with pytest.raises(ValueError):
         ThresholdSpec.nlogn(0)
+    # float() would read True as 1.0 and parse "2"; numpy scalars are reals
+    for bad in (True, np.True_, "2"):
+        with pytest.raises(ValueError, match="constant f must be a real number"):
+            ThresholdSpec.constant(bad)
+        with pytest.raises(ValueError, match="power exponent must be a real number"):
+            ThresholdSpec.power(bad)
+        with pytest.raises(ValueError, match="ell must be a real number"):
+            ThresholdSpec.nlogn(bad)
+        with pytest.raises(ValueError, match="'table': every value must be a real number"):
+            ThresholdSpec.custom({100: bad}, SPARSE)
+    assert ThresholdSpec.nlogn(np.float32(0.5)) == ThresholdSpec.nlogn(0.5)
+    assert ThresholdSpec.constant(np.int64(3)) == ThresholdSpec.constant(3.0)
     with pytest.raises(ValueError):
         ThresholdSpec.custom({}, SPARSE)
     with pytest.raises(ValueError):
-        ThresholdSpec.custom({100: 5.0}, DENSE)  # missing ell
-    with pytest.raises(ValueError):
         ThresholdSpec.custom({100: 5.0}, "MEDIUM")
-    with pytest.raises(ValueError, match="'ell'"):  # a SPARSE spec never reads ell
-        ThresholdSpec.custom({100: 5.0}, SPARSE, ell=-4)
+    with pytest.raises(TypeError):  # the dense formula reads only f, never an ell
+        ThresholdSpec.custom({100: 5.0}, DENSE, ell=1.0)
     for value in (math.nan, math.inf, -math.inf):  # JSON has no spelling for these
         with pytest.raises(ValueError, match="'table'"):
             ThresholdSpec.custom({100: 5.0, 200: value}, SPARSE)
@@ -157,6 +166,9 @@ def test_connectivity_prob_limit():
         connectivity_prob_limit(float("inf"))
     with pytest.raises(ValueError):
         connectivity_prob_limit(float("nan"))
+    for bad in (True, "0"):
+        with pytest.raises(ValueError, match="a must be a real number"):
+            connectivity_prob_limit(bad)
 
 
 # ----------------------------------------------------------------- decision
@@ -339,7 +351,7 @@ def test_sweep_config_validation():
     ):
         with pytest.raises(ValueError):
             SweepConfig(**bad)
-    for multiplier in (math.inf, math.nan):
+    for multiplier in (math.inf, math.nan, True, "2"):
         with pytest.raises(ValueError, match="multipliers"):
             SweepConfig(**{**base, "multiplier_list": (1.0, multiplier)})
     # non-integers are refused at construction, never truncated or left for sweep()
@@ -491,3 +503,12 @@ def test_nlogn_sweep_where_connectivity_binds_matches_binomial_prediction():
 def test_sparse_sweep_matches_binomial_prediction():
     # f = n: YES is connectivity; the multipliers stay off x1.0, the steepest point
     assert_sweep_matches_binomial_prediction(ThresholdSpec.power(1.0), (0.9, 1.2, 1.5))
+
+
+@pytest.mark.parametrize("alpha, multipliers", [(1.1, (1.8, 1.9, 2.0)),
+                                                (1.5, (1.94, 1.95, 1.96))])
+def test_dense_power_sweep_matches_binomial_prediction(alpha, multipliers):
+    # f = n^alpha with alpha > 1 is DENSE; predicted 0.53/0.65/0.74 at n = 500 and
+    # 0.34/0.49/0.62 at n = 2000 for alpha = 1.1, 0.61/0.81/0.93 and
+    # 0.004/0.14/0.69 for alpha = 1.5
+    assert_sweep_matches_binomial_prediction(ThresholdSpec.power(alpha), multipliers)
