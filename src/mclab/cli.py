@@ -13,7 +13,6 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .coloring import (
     DEFAULT_CHI_CAP,
@@ -45,51 +44,33 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-# the fields each family reads; build_spec rejects the others
-_FAMILY_KEYS = {
-    "constant": {"c"},
-    "power": {"alpha"},
-    "nlogn": {"ell"},
-    "custom": {"table", "regime"},
+# family -> (ThresholdSpec factory, required keys, optional keys); every
+# factory argument has its config key's name
+_FAMILIES = {
+    "constant": (ThresholdSpec.constant, ("c",), ()),
+    "power": (ThresholdSpec.power, ("alpha",), ()),
+    "nlogn": (ThresholdSpec.nlogn, (), ("ell",)),
+    "custom": (ThresholdSpec.custom, ("table", "regime"), ()),
 }
+_SPEC_KEYS = ("family", "c", "alpha", "ell", "regime", "table")
 
 
-def build_spec(
-    family: Optional[str],
-    c: Optional[float] = None,
-    alpha: Optional[float] = None,
-    ell: Optional[float] = None,
-    regime: Optional[str] = None,
-    table: Optional[dict] = None,
-) -> ThresholdSpec:
-    """Assemble a ThresholdSpec from flat fields, naming the field on errors.
+def build_spec(family: str, **given) -> ThresholdSpec:
+    """Assemble a ThresholdSpec from parsed config values, naming the key on errors.
 
-    A field the family never reads is an error, not dropped.
+    A key the family never reads is an error, not dropped; then a missing
+    required key; then the family's factory judges the values.
     """
-    if family is None:
-        raise ConfigError("key 'family': required (constant | power | nlogn | custom)")
-    family = family.lower()
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILIES:
         raise ConfigError(f"key 'family': unknown family {family!r}")
-    given = (("c", c), ("alpha", alpha), ("ell", ell), ("regime", regime), ("table", table))
-    for key, value in given:
-        if value is not None and key not in _FAMILY_KEYS[family]:
+    factory, required, optional = _FAMILIES[family]
+    for key in given:
+        if key not in required + optional:
             raise ConfigError(f"key {key!r}: not used by the {family} family")
-    if family == "constant":
-        if c is None:
-            raise ConfigError("key 'c': required for the constant family")
-        return ThresholdSpec.constant(c)
-    if family == "power":
-        if alpha is None:
-            raise ConfigError("key 'alpha': required for the power family")
-        return ThresholdSpec.power(alpha)
-    if family == "nlogn":
-        return ThresholdSpec.nlogn(1.0 if ell is None else ell)
-    if table is None:
-        raise ConfigError("key 'table': required for the custom family")
-    if regime is None:
-        raise ConfigError("key 'regime': required for the custom family")
-    return ThresholdSpec.custom(table, regime.upper())
+    for key in required:
+        if key not in given:
+            raise ConfigError(f"key {key!r}: required for the {family} family")
+    return factory(**given)
 
 
 @dataclass(frozen=True)
@@ -100,46 +81,49 @@ class ExperimentConfig:
     output: str
 
 
-def _parse_typed(key: str, raw: str, kind: str):
+def _n_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.split(","))
+
+
+def _multipliers(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(","))
+
+
+def _table(raw: str) -> dict:
+    table: dict = {}
+    for tok in raw.split(","):
+        k, _, v = tok.partition(":")
+        n = int(k)
+        if n in table:
+            raise ConfigError(f"key 'table': repeated n {n}")
+        table[n] = float(v)
+    return table
+
+
+# each config key's parser; the threshold flags read through it too
+_PARSERS = {
+    "family": str.lower,
+    "c": float,
+    "alpha": float,
+    "ell": float,
+    "regime": str.upper,
+    "table": _table,
+    "n": _n_list,
+    "multipliers": _multipliers,
+    "trials": int,
+    "master_seed": int,
+    "workers": int,
+    "output": str,
+}
+
+
+def _parse(key: str, raw: str):
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "int_list":
-            return tuple(int(tok) for tok in raw.split(","))
-        if kind == "float_list":
-            return tuple(float(tok) for tok in raw.split(","))
-        if kind == "table":
-            table: dict = {}
-            for tok in raw.split(","):
-                k, _, v = tok.partition(":")
-                n = int(k)
-                if n in table:
-                    raise ConfigError(f"key {key!r}: repeated n {n}")
-                table[n] = float(v)
-            return table
+        return _PARSERS[key](raw)
     except ConfigError:
         raise
     except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from None
-    return raw
-
-
-_CONFIG_KEYS = {
-    "family": "str",
-    "c": "float",
-    "alpha": "float",
-    "ell": "float",
-    "regime": "str",
-    "table": "table",
-    "n": "int_list",
-    "multipliers": "float_list",
-    "trials": "int",
-    "master_seed": "int",
-    "workers": "int",
-    "output": "str",
-}
+        raise ConfigError(f"key {key!r}: cannot parse {raw!r}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -154,18 +138,17 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_typed(key, value, _CONFIG_KEYS[key])
+        values[key] = _parse(key, value)
     for required in ("family", "n", "master_seed", "output"):
         if required not in values:
             raise ConfigError(f"key {required!r}: required")
     output = values.pop("output")
-    spec_keys = ("family", "c", "alpha", "ell", "regime", "table")
     try:
-        spec = build_spec(**{key: values.pop(key) for key in spec_keys if key in values})
+        spec = build_spec(**{key: values.pop(key) for key in _SPEC_KEYS if key in values})
         config = SweepConfig(
             spec=spec,
             n_list=values.pop("n"),
@@ -240,14 +223,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    spec = build_spec(
-        args.family,
-        c=args.c,
-        alpha=args.alpha,
-        ell=args.ell,
-        regime=args.regime,
-        table=_parse_typed("table", args.table, "table") if args.table else None,
-    )
+    flags = {key: getattr(args, key) for key in _SPEC_KEYS}
+    spec = build_spec(**{key: _parse(key, raw) for key, raw in flags.items() if raw is not None})
     p = threshold_p(spec, args.n)
     print(f"n: {args.n}")
     print(f"regime: {spec.regime}")
@@ -262,9 +239,9 @@ def cmd_threshold(args) -> int:
 def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--family", required=True,
                      help="constant | power | nlogn | custom")
-    sub.add_argument("--c", type=float, help="value for the constant family")
-    sub.add_argument("--alpha", type=float, help="exponent for the power family")
-    sub.add_argument("--ell", type=float, help="coefficient for the nlogn family")
+    sub.add_argument("--c", help="value for the constant family")
+    sub.add_argument("--alpha", help="exponent for the power family")
+    sub.add_argument("--ell", help="coefficient for the nlogn family")
     sub.add_argument("--regime", help="dense | sparse (custom family only)")
     sub.add_argument("--table", help="custom family values, e.g. 100:50,200:120")
 

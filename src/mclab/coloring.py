@@ -243,7 +243,6 @@ def mc_upper_bound(
     if n <= kappa_cap:
         candidates.append((m - n + vertex_connectivity(g) + 1, CONNECTIVITY_UPPER))
     best = min(value for value, _ in candidates)
-    best = min(best, n * (n - 1) // 2)
     tags = tuple(tag for value, tag in candidates if value == best)
     return best, tags
 
@@ -435,7 +434,8 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
     The search starts from m - n + 2, the color count of the always-valid
     spanning-tree coloring (cost n - 2), and stops at the upper bound
-    min(m - n + delta + 1, C(n, 2)); when the two meet (delta = 1, say) no
+    m - n + delta + 1, which is at most C(n, 2) since a vertex of degree delta
+    misses n - 1 - delta others; when the two meet (delta = 1, say) no
     search runs at all. Nor does it when n > 3 and certificate (c), the
     max-degree inequality of :func:`exactness_certificate`, already proves
     mc(G) = m - n + 2. The tests check it against an independent exhaustive
@@ -452,7 +452,7 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
         degree[u] += 1
         degree[v] += 1
     seed = m - n + 2
-    top = min(m - n + min(degree) + 1, n * (n - 1) // 2)
+    top = m - n + min(degree) + 1
     if seed >= top:  # a single vertex has seed 1 > top 0; otherwise seed <= top
         return top
     if n > 3 and _degree_certificate(n, m, max(degree)):

@@ -18,6 +18,7 @@ import csv
 import io
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -92,23 +93,25 @@ class ThresholdSpec:
         return ThresholdSpec(family=NLOGN, regime=DENSE, ell=ell)
 
     @staticmethod
-    def custom(values: dict, regime: str) -> "ThresholdSpec":
+    def custom(table: dict, regime: str) -> "ThresholdSpec":
         if regime not in (DENSE, SPARSE):
             raise ValueError(f"regime must be DENSE or SPARSE, got {regime!r}")
         try:
-            ns = [_index(k) for k in values]
+            ns = [_index(k) for k in table]
         except TypeError:
             raise ValueError("key 'table': every n must be an integer") from None
-        fs = [_real(v, "key 'table': every value must be a real number") for v in values.values()]
-        table = tuple(sorted(zip(ns, fs)))
-        if not table:
+        fs = [_real(v, "key 'table': every value must be a real number") for v in table.values()]
+        pairs = tuple(sorted(zip(ns, fs)))
+        if not pairs:
             raise ValueError("custom table must not be empty")
-        if not all(math.isfinite(v) for _, v in table):
+        if not all(math.isfinite(v) for _, v in pairs):
             raise ValueError("key 'table': every value must be finite")
-        return ThresholdSpec(family=CUSTOM, regime=regime, table=table)
+        return ThresholdSpec(family=CUSTOM, regime=regime, table=pairs)
 
     def f_value(self, n: int) -> float:
         """Evaluate f(n), enforcing 1 <= f(n) < C(n, 2)."""
+        if n * n > sys.float_info.max:  # C(n, 2) and the dense n^2 would overflow a float
+            raise ValueError(f"n={n} is too large for the threshold formulas")
         if self.family == CONSTANT:
             value = self.c
         elif self.family == POWER:
@@ -143,16 +146,15 @@ def threshold_p(spec: ThresholdSpec, n: int) -> float:
     """Sharp threshold edge probability for mc(G(n,p)) >= f(n).
 
     DENSE: (f(n) + n*log log n) / n^2. SPARSE: log n / n (the connectivity
-    threshold). Clamped to [0, 1].
+    threshold). Both lie in (0, 1) with no clamp: for n >= 16 and
+    1 <= f < C(n, 2) the dense p is below 1/2 + log log n / n, and log n / n < 1.
     """
     if n < MIN_FORMULA_N:
         raise ValueError(f"n below formula domain (need n >= {MIN_FORMULA_N}, got {n})")
     if spec.regime == DENSE:
-        p = (spec.f_value(n) + n * math.log(math.log(n))) / (n * n)
-    else:
-        spec.f_value(n)  # still validate the range even though p ignores f
-        p = math.log(n) / n
-    return min(1.0, max(0.0, p))
+        return (spec.f_value(n) + n * math.log(math.log(n))) / (n * n)
+    spec.f_value(n)  # still validate the range even though p ignores f
+    return math.log(n) / n
 
 
 def chernoff_lower_tail(mu: float, delta: float) -> float:
@@ -170,6 +172,8 @@ def chernoff_upper_tail(mu: float, delta: float) -> float:
         raise ValueError("mu must be positive")
     if not (delta > 0):
         raise ValueError("upper-tail delta must be positive")
+    if delta == math.inf:  # the exponent below is inf/inf there; the bound tends to 0
+        return 0.0
     return math.exp(-delta * delta * mu / (2.0 + delta))
 
 
@@ -178,7 +182,10 @@ def connectivity_prob_limit(a: float) -> float:
     a = _real(a, "a must be a real number")
     if not math.isfinite(a):
         raise ValueError("a must be finite")
-    return math.exp(-math.exp(-a))
+    try:
+        return math.exp(-math.exp(-a))
+    except OverflowError:  # exp(-a) is past the float range, where the limit is 0
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -277,6 +284,8 @@ class SweepConfig:
             raise ValueError("n_list must not be empty")
         if any(n < 1 for n in self.n_list):
             raise ValueError("all n values must be positive")
+        if any(n > graphs.MAX_VERTICES for n in self.n_list):
+            raise ValueError(f"n values must be at most {graphs.MAX_VERTICES}, the vertex limit")
         if not self.multiplier_list:
             raise ValueError("multiplier_list must not be empty")
         if any(not (0 < x < math.inf) for x in self.multiplier_list):

@@ -21,6 +21,7 @@ import pytest
 
 import mclab.cli
 import mclab.sampling
+import mclab.threshold
 from mclab.cli import ExperimentConfig, parse_config, run
 from mclab.files import read_edge_list, write_edge_list
 from mclab.graphs import cycle_graph
@@ -245,6 +246,31 @@ def test_threshold_custom_table(capsys):
     assert "key 'ell': not used by the custom family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["c", "alpha", "ell", "table"])
+def test_threshold_flags_parse_as_config_keys(capsys, key):
+    rc = run(["threshold", "--family", "custom", f"--{key}", "abc", "--n", "100"])
+    assert rc == 2
+    assert f"error: key {key!r}: cannot parse 'abc'\n" == capsys.readouterr().err
+
+
+def test_threshold_regime_takes_any_case(capsys):
+    rc = run(["threshold", "--family", "custom", "--regime", "sPaRsE", "--table", "100:10",
+              "--n", "100"])
+    assert rc == 0
+    assert "regime: SPARSE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
+    ["constant", "--c", "1"],
+    ["power", "--alpha", "0.5"],
+    ["nlogn"],
+    ["custom", "--regime", "sparse", "--table", f"{10**160}:5"],
+], ids=["constant", "power", "nlogn", "custom"])
+def test_threshold_huge_n_exits_2(capsys, flags):
+    assert run(["threshold", "--family", *flags, "--n", str(10**160)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_threshold_missing_family_field(capsys):
     rc = run(["threshold", "--family", "constant", "--n", "100"])
     assert rc == 2
@@ -369,6 +395,19 @@ def test_sweep_rejects_non_finite_values(tmp_path, capsys):
         assert run(["sweep", str(cfg)]) == 2
         assert key in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "o.csv.json").exists()
+
+
+def test_sweep_refuses_n_past_the_vertex_limit_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trials(job):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(mclab.threshold, "_trial_batch", no_trials)
+    out = tmp_path / "o.csv"
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SWEEP_CFG.replace("n = 300", "n = 2000,2000000") + f"output = {out}\n")
+    assert run(["sweep", str(cfg)]) == 2
+    assert "vertex limit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_missing_required_key(tmp_path, capsys):
@@ -588,3 +627,36 @@ def test_committed_sweep_configs_parse():
             assert min(multipliers) < min(C50[spec]) and max(C50[spec]) < max(multipliers)
         seen[path.name] = spec
     assert sorted(seen.values(), key=repr) == sorted([*C50, F_IS_N], key=repr)
+
+
+# the values every committed config and the README example parse to; a change
+# to a key's parser that alters any of them shows up here
+PINNED_CONFIGS = {
+    "nlogn-ell0.1.cfg": (ThresholdSpec.nlogn(0.1), (2.2, 2.4, 2.6, 2.8, 3.0, 3.2, 3.4)),
+    "nlogn-ell0.25.cfg": (ThresholdSpec.nlogn(0.25), (1.6, 1.8, 2.0, 2.2, 2.4)),
+    "nlogn-ell0.5.cfg": (ThresholdSpec.nlogn(0.5), (1.4, 1.5, 1.6, 1.7, 1.8, 1.9)),
+    "nlogn-ell1.cfg": (ThresholdSpec.nlogn(1.0), (1.5, 1.6, 1.7, 1.8, 1.9, 2.0)),
+    "nlogn-ell2.cfg": (ThresholdSpec.nlogn(2.0), (1.6, 1.7, 1.8, 1.9, 2.0, 2.1)),
+    "power-alpha1.1.cfg": (ThresholdSpec.power(1.1), (1.6, 1.7, 1.8, 1.9, 2.0, 2.1)),
+    "power-alpha1.5.cfg": (ThresholdSpec.power(1.5),
+                           (1.92, 1.93, 1.94, 1.95, 1.96, 1.97, 1.98)),
+    "power-alpha1.cfg": (ThresholdSpec.power(1.0), (0.9, 1.0, 1.1, 1.2)),
+}
+
+
+def test_configs_parse_to_pinned_values():
+    root = Path(__file__).resolve().parents[1]
+    parsed = {path.name: mclab.cli.read_config(path)
+              for path in sorted((root / "configs").glob("*.cfg"))}
+    section = (root / "README.md").read_text().split("Sweep config:")[1]
+    parsed["README.md"] = parse_config(section.split("```")[1])
+    pinned = {
+        name: ExperimentConfig(SweepConfig(spec, (500, 2000, 8000), multipliers, 100, 11),
+                               name.removesuffix(".cfg") + ".csv")
+        for name, (spec, multipliers) in PINNED_CONFIGS.items()
+    }
+    pinned["README.md"] = ExperimentConfig(
+        SweepConfig(ThresholdSpec.nlogn(1.0), (1000, 2000), (0.5, 1.0, 2.0, 5.0), 200, 42),
+        "report.csv",
+    )
+    assert parsed == pinned

@@ -101,6 +101,26 @@ def test_f_value_and_range():
         ThresholdSpec.constant(200).f_value(20)  # 200 >= C(20,2) = 190
 
 
+HUGE_N = 10**160  # C(n, 2) and n^2 are past the float range here
+
+
+@pytest.mark.parametrize("spec", [
+    ThresholdSpec.constant(1),
+    ThresholdSpec.power(0.5),
+    NLOGN1,
+    ThresholdSpec.custom(table={HUGE_N: 5.0}, regime=SPARSE),
+], ids=["constant", "power", "nlogn", "custom"])
+def test_huge_n_is_a_value_error(spec):
+    with pytest.raises(ValueError, match="too large"):
+        threshold_p(spec, HUGE_N)
+    with pytest.raises(ValueError, match="too large"):
+        run_trial(HUGE_N, 0.5, spec, RngSeed(0))
+
+
+def test_threshold_p_at_a_huge_float_sized_n():
+    assert threshold_p(ThresholdSpec.constant(1), 10**150) == 3.453877639491068e-148
+
+
 # --------------------------------------------------------------- formulas
 
 
@@ -169,6 +189,19 @@ def test_connectivity_prob_limit():
     for bad in (True, "0"):
         with pytest.raises(ValueError, match="a must be a real number"):
             connectivity_prob_limit(bad)
+
+
+def test_chernoff_upper_tail_at_infinite_delta():
+    assert chernoff_upper_tail(5, math.inf) == 0.0
+    assert chernoff_upper_tail(math.inf, math.inf) == 0.0
+
+
+def test_connectivity_prob_limit_at_extreme_a():
+    # exp(-a) overflows below a = -709.78, where the limit is already 0
+    assert connectivity_prob_limit(-1000) == 0.0
+    assert connectivity_prob_limit(-1e308) == 0.0
+    assert connectivity_prob_limit(1e308) == 1.0
+    assert f"{connectivity_prob_limit(0):.9g}" == "0.367879441"
 
 
 # ----------------------------------------------------------------- decision
@@ -365,6 +398,13 @@ def test_sweep_config_validation():
     assert config == SweepConfig(**base) and type(config.n_list[0]) is int
     with pytest.raises(TypeError):  # the exact-oracle cap is retired
         SweepConfig(**base, oracle_cap=0)
+
+
+def test_sweep_config_refuses_n_past_the_vertex_limit():
+    base = dict(spec=NLOGN1, multiplier_list=(1.0,), trials=5, master_seed=0)
+    with pytest.raises(ValueError, match="vertex limit"):
+        SweepConfig(**base, n_list=(2000, MAX_VERTICES + 1))
+    assert SweepConfig(**base, n_list=(MAX_VERTICES,)).n_list == (MAX_VERTICES,)
 
 
 def test_sweep_deterministic_and_csv_shape():
