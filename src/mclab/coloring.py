@@ -469,28 +469,26 @@ def analyze(
     """Full certified bracket on mc(G), with the exact value whenever one
     of the closed-form arguments or the small-graph oracle (run when
     m <= ``oracle_cap``, so never at 0) settles it.
+
+    It returns at the first rung that settles mc(G): disconnected, a single
+    vertex, complete, a certificate (a)-(e) when n > 3, a closed bracket
+    (lower == upper), then the oracle; past them all the exact value is None.
     """
     if not is_connected(g):
         return McBounds(0, 0, 0, (DISCONNECTED,))
-    n = g.n
-    total = n * (n - 1) // 2
-    lower = mc_lower_bound(g)
-    certs: list[str] = [TREE_LOWER]
+    n, m = g.n, g.m
     if n == 1:
         return McBounds(0, 0, 0, (TREE_LOWER, COMPLETE_GRAPH))
+    lower = m - n + 2  # connected on n >= 2 vertices: the spanning-tree coloring
     upper, upper_tags = mc_upper_bound(g, chi_cap=chi_cap, kappa_cap=kappa_cap)
-    certs.extend(upper_tags)
+    certs = (TREE_LOWER, *upper_tags)
     if g.is_complete():
-        return McBounds(lower, upper, total, tuple(certs) + (COMPLETE_GRAPH,))
-    exact: Optional[int] = None
-    if n > 3:
-        cert = exactness_certificate(g, kappa_cap=kappa_cap)
-        if cert is not None:
-            exact = lower
-            certs.append(cert)
-    if exact is None and lower == upper:
-        exact = lower
-    if exact is None and g.m <= oracle_cap:
-        exact = exact_mc_small(g, cap=oracle_cap)
-        certs.append(EXACT_ORACLE)
-    return McBounds(lower, upper, exact, tuple(certs))
+        return McBounds(lower, upper, n * (n - 1) // 2, certs + (COMPLETE_GRAPH,))
+    cert = exactness_certificate(g, kappa_cap=kappa_cap) if n > 3 else None
+    if cert is not None:
+        return McBounds(lower, upper, lower, certs + (cert,))
+    if lower == upper:
+        return McBounds(lower, upper, lower, certs)
+    if m <= oracle_cap:
+        return McBounds(lower, upper, exact_mc_small(g, cap=oracle_cap), certs + (EXACT_ORACLE,))
+    return McBounds(lower, upper, None, certs)

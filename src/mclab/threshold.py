@@ -19,6 +19,7 @@ import io
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -331,8 +332,9 @@ class SweepReport:
     def to_csv(self) -> str:
         """Stable CSV: fixed column order, floats at 9 significant digits.
 
-        Rows that failed (formula-domain errors) carry no tallies and are
-        omitted here; they stay visible on the report itself.
+        Rows that failed, from the formula domain or from a trial's error,
+        carry no tallies and are omitted here; they stay visible on the report
+        itself, error message included.
         """
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -358,48 +360,46 @@ class SweepReport:
         return tuple(row for row in self.rows if row.error is not None)
 
 
-def _trial_batch(args) -> tuple[int, int, int]:
-    """Run a slice of one row's trials; returns (yes, no, unknown) counts."""
+def _trial_batch(args) -> Counter | str:
+    """Run a slice of one row's trials: a Counter of their decisions, or the
+    message of the ValueError that stopped the slice (every mclab error is one)."""
     config, n, p, row_index, start, stop = args
-    yes = no = unknown = 0
-    for t in range(start, stop):
-        outcome = run_trial(n, p, config.spec, trial_seed(config.master_seed, row_index, t))
-        if outcome.decision == YES:
-            yes += 1
-        elif outcome.decision == NO:
-            no += 1
-        else:
-            unknown += 1
-    return yes, no, unknown
+    try:
+        return Counter(
+            run_trial(n, p, config.spec, trial_seed(config.master_seed, row_index, t)).decision
+            for t in range(start, stop)
+        )
+    except ValueError as exc:
+        return str(exc)
 
 
 def sweep(config: SweepConfig) -> SweepReport:
     """Monte Carlo tallies for every (n, multiplier) cell, in declared order.
 
-    Failed cells (for example n below the formula domain) become rows with an
-    error message instead of aborting the whole sweep. Identical config and
-    seed give identical reports regardless of worker count: every row's trial
-    slices go through one map, and the tallies are summed per row.
+    A row fails alone, with an error message in place of its tallies: an n
+    below the formula domain fails before any trial runs, and a trial's error
+    (a draw past the edge limit, say) fails the row it ran for. Identical
+    config and seed give identical reports regardless of worker count: every
+    row's trial slices go through one map, in job order, and a row sums its
+    slices' tallies or keeps the first error they return.
     """
-    cells = []  # (n, multiplier, p, clamped, error) in row-index order
+    records = []  # [n, multiplier, p, clamped, error, tally] per row, in row-index order
     for n in config.n_list:
         for multiplier in config.multiplier_list:
             try:
-                base_p = threshold_p(config.spec, n)
+                p = multiplier * threshold_p(config.spec, n)
             except ValueError as exc:
-                cells.append((n, multiplier, 0.0, False, str(exc)))
-                continue
-            p = multiplier * base_p
-            cells.append((n, multiplier, min(1.0, p), p > 1.0, None))
+                records.append([n, multiplier, 0.0, False, str(exc), Counter()])
+            else:
+                records.append([n, multiplier, min(1.0, p), p > 1.0, None, Counter()])
 
     step = max(1, math.ceil(config.trials / (config.workers * 4)))
     jobs = [
         (config, n, p, row_index, start, min(start + step, config.trials))
-        for row_index, (n, _, p, _, error) in enumerate(cells)
+        for row_index, (n, _, p, _, error, _) in enumerate(records)
         if error is None
         for start in range(0, config.trials, step)
     ]
-    tallies = [[0, 0, 0] for _ in cells]
     if config.workers > 1:
         # the pool forks all its processes at once: never more than the cores
         with ProcessPoolExecutor(max_workers=min(config.workers, os.cpu_count() or 1)) as pool:
@@ -407,13 +407,15 @@ def sweep(config: SweepConfig) -> SweepReport:
     else:
         parts = map(_trial_batch, jobs)
     for job, part in zip(jobs, parts):
-        row_index = job[3]
-        tallies[row_index] = [a + b for a, b in zip(tallies[row_index], part)]
+        record = records[job[3]]
+        if isinstance(part, str) and record[4] is None:  # the first error fails the row
+            record[4], record[5] = part, Counter()
+        elif record[4] is None:
+            record[5] += part
 
     rows = tuple(
-        SweepRow(n, multiplier, p, config.trials, yes, no, unknown, yes / config.trials,
-                 clamped=clamped, error=error)
-        for (n, multiplier, p, clamped, error), (yes, no, unknown) in zip(cells, tallies)
+        SweepRow(n, multiplier, p, config.trials, tally[YES], tally[NO], tally[UNKNOWN],
+                 tally[YES] / config.trials, clamped=clamped, error=error)
+        for n, multiplier, p, clamped, error, tally in records
     )
     return SweepReport(config=config, rows=rows)
-

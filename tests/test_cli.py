@@ -410,6 +410,24 @@ def test_sweep_refuses_n_past_the_vertex_limit_before_any_trial(tmp_path, capsys
     assert not out.exists()
 
 
+def test_sweep_a_trials_error_fails_only_its_row(tmp_path, capsys, monkeypatch):
+    # every x5 draw passes the lowered edge limit; the x1 row is row 0 either way
+    monkeypatch.setattr(mclab.sampling, "MAX_EDGES", 30000)
+    out = tmp_path / "o.csv"
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("family = nlogn\nn = 2000\nmultipliers = 1,5\ntrials = 2\n"
+                   f"master_seed = 1\noutput = {out}\n")
+    assert run(["sweep", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    one_row = sweep(SweepConfig(ThresholdSpec.nlogn(1.0), (2000,), (1.0,), 2, 1)).to_csv()
+    assert out.read_text() == one_row and len(one_row.splitlines()) == 2
+    assert json.loads((tmp_path / "o.csv.json").read_text())["multipliers"] == [1.0, 5.0]
+    assert captured.out.startswith(f"wrote 1 rows to {out}")
+    assert captured.err == (
+        "row n=2000 multiplier=5 failed: drawn edge count exceeds limit 30000\n"
+    )
+
+
 def test_sweep_missing_required_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("family = constant\nc = 1\nn = 300\noutput = o.csv\n")
@@ -605,6 +623,16 @@ C50 = {
     ThresholdSpec.power(1.5): (1.935, 1.957, 1.974),
 }
 F_IS_N = ThresholdSpec.power(1.0)
+# the same at n = 10^5 and 2^20, for the large-*.cfg configs; f = n^1.5 runs at
+# 10^5 only, since at 2^20 its draws would pass the edge limit
+LARGE_C50 = {
+    ThresholdSpec.nlogn(0.1): (3.30, 3.54),
+    ThresholdSpec.nlogn(0.25): (2.23, 2.33),
+    ThresholdSpec.nlogn(1.0): (1.793, 1.802),
+    ThresholdSpec.power(1.1): (2.12, 2.15),
+    ThresholdSpec.power(1.5): (1.991,),
+}
+LARGE_N = (100000, 1048576)
 
 
 def test_committed_sweep_configs_parse():
@@ -614,8 +642,13 @@ def test_committed_sweep_configs_parse():
         experiment = mclab.cli.read_config(path)
         config = experiment.sweep
         assert experiment.output == path.stem + ".csv"
-        assert config.n_list == (500, 2000, 8000)
-        assert (config.trials, config.master_seed, config.workers) == (100, 11, 1)
+        if path.name.startswith("large-"):
+            c50 = LARGE_C50[config.spec]
+            assert config.n_list == LARGE_N[:len(c50)] and config.trials == 40
+        else:
+            c50 = C50.get(config.spec)
+            assert config.n_list == (500, 2000, 8000) and config.trials == 100
+        assert (config.master_seed, config.workers) == (11, 1)
         multipliers = config.multiplier_list
         assert list(multipliers) == sorted(multipliers)
         spec = config.spec
@@ -624,9 +657,9 @@ def test_committed_sweep_configs_parse():
             assert spec.regime == "SPARSE" and multipliers == (0.9, 1.0, 1.1, 1.2)
         else:
             assert spec.regime == "DENSE"
-            assert min(multipliers) < min(C50[spec]) and max(C50[spec]) < max(multipliers)
+            assert min(multipliers) < min(c50) and max(c50) < max(multipliers)
         seen[path.name] = spec
-    assert sorted(seen.values(), key=repr) == sorted([*C50, F_IS_N], key=repr)
+    assert sorted(seen.values(), key=repr) == sorted([*C50, F_IS_N, *LARGE_C50], key=repr)
 
 
 # the values every committed config and the README example parse to; a change
@@ -642,6 +675,13 @@ PINNED_CONFIGS = {
                            (1.92, 1.93, 1.94, 1.95, 1.96, 1.97, 1.98)),
     "power-alpha1.cfg": (ThresholdSpec.power(1.0), (0.9, 1.0, 1.1, 1.2)),
 }
+PINNED_LARGE_CONFIGS = {
+    "large-ell0.1.cfg": (ThresholdSpec.nlogn(0.1), LARGE_N, (3.0, 3.25, 3.5, 3.75, 4.0)),
+    "large-ell0.25.cfg": (ThresholdSpec.nlogn(0.25), LARGE_N, (2.0, 2.2, 2.4, 2.6)),
+    "large-ell1.cfg": (ThresholdSpec.nlogn(1.0), LARGE_N, (1.79, 1.794, 1.798, 1.802, 1.806)),
+    "large-power1.1.cfg": (ThresholdSpec.power(1.1), LARGE_N, (1.9, 2.1, 2.3, 2.5)),
+    "large-power1.5.cfg": (ThresholdSpec.power(1.5), (100000,), (1.99, 1.991, 1.992)),
+}
 
 
 def test_configs_parse_to_pinned_values():
@@ -655,6 +695,11 @@ def test_configs_parse_to_pinned_values():
                                name.removesuffix(".cfg") + ".csv")
         for name, (spec, multipliers) in PINNED_CONFIGS.items()
     }
+    pinned.update(
+        (name, ExperimentConfig(SweepConfig(spec, n_list, multipliers, 40, 11),
+                                name.removesuffix(".cfg") + ".csv"))
+        for name, (spec, n_list, multipliers) in PINNED_LARGE_CONFIGS.items()
+    )
     pinned["README.md"] = ExperimentConfig(
         SweepConfig(ThresholdSpec.nlogn(1.0), (1000, 2000), (0.5, 1.0, 2.0, 5.0), 200, 42),
         "report.csv",

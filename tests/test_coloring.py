@@ -740,6 +740,24 @@ def test_analyze_examples():
     assert TREE_LOWER in b.certificates
 
 
+K4_MINUS_EDGE = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+BRACKET_TAGS = (TREE_LOWER, MIN_DEGREE_UPPER, CHROMATIC_UPPER, CONNECTIVITY_UPPER)
+
+
+@pytest.mark.parametrize("g, caps, expected", [
+    (Graph(4, [(0, 1), (2, 3)]), {}, McBounds(0, 0, 0, (DISCONNECTED,))),
+    (Graph(1), {}, McBounds(0, 0, 0, (TREE_LOWER, COMPLETE_GRAPH))),
+    (complete_graph(4), {}, McBounds(4, 6, 6, BRACKET_TAGS + (COMPLETE_GRAPH,))),
+    (petersen_graph(), {}, McBounds(7, 8, 7, (TREE_LOWER, CHROMATIC_UPPER, EXACT_A))),
+    (path_graph(3), {}, McBounds(1, 1, 1, BRACKET_TAGS)),
+    (K4_MINUS_EDGE, {}, McBounds(3, 4, 4, BRACKET_TAGS + (EXACT_ORACLE,))),
+    (K4_MINUS_EDGE, {"oracle_cap": 0}, McBounds(3, 4, None, BRACKET_TAGS)),
+], ids=["disconnected", "one-vertex", "complete", "certificate", "closed-bracket",
+        "oracle", "unknown"])
+def test_analyze_pins_every_exit(g, caps, expected):
+    assert analyze(g, **caps) == expected
+
+
 def test_analyze_labels_each_graph_once(monkeypatch):
     calls = counting_component_labels(monkeypatch)
     graphs = [

@@ -8,6 +8,7 @@ from scipy.stats import binom
 
 import oracles
 import mclab.graphs
+import mclab.sampling
 import mclab.threshold
 from mclab.coloring import analyze, exact_mc_small
 from mclab.graphs import MAX_VERTICES, Graph, complete_graph, cycle_graph, star_graph
@@ -475,6 +476,25 @@ def test_sweep_marks_failed_rows_and_continues():
     csv_lines = report.to_csv().splitlines()
     assert len(csv_lines) == 2  # header plus the surviving row
     assert csv_lines[1].startswith("300,")
+
+
+def test_a_trials_error_fails_only_its_row(monkeypatch):
+    # at x5 every draw holds about 48,000 edges, past the lowered limit; x1 holds
+    # about 9,600, so its row runs as it would without the patch
+    base = dict(spec=NLOGN1, n_list=(2000,), multiplier_list=(1.0, 5.0), trials=2, master_seed=1)
+    plain = sweep(SweepConfig(**base))
+    assert not plain.failed_rows()
+    monkeypatch.setattr(mclab.sampling, "MAX_EDGES", 30000)
+    for workers in (1, 2):
+        report = sweep(SweepConfig(**base, workers=workers))
+        low, high = report.rows
+        assert low == plain.rows[0]
+        assert high.error == "drawn edge count exceeds limit 30000"
+        assert (high.yes, high.no, high.unknown, high.frac_yes) == (0, 0, 0, 0.0)
+        assert report.failed_rows() == (high,)
+        kept = [line for line in plain.to_csv().splitlines(keepends=True)
+                if not line.startswith("2000,5,")]
+        assert report.to_csv() == "".join(kept) and len(kept) == 2
 
 
 def test_sweep_clamps_large_multipliers():
