@@ -33,9 +33,9 @@ from .graphs import (
     DEFAULT_CHI_CAP,
     EdgePair,
     Graph,
+    _full_masks,
     _has_far_pair,
     _least_pair_connectivity,
-    _neighbour_masks,
     chromatic_number,
     component_labels,
     is_connected,
@@ -268,7 +268,9 @@ def exactness_certificate(
     are g's complemented, ``full ^ masks[v] ^ 1 << v``, its least degree is
     n - 1 - Delta, at a vertex of g's largest degree, and vertex
     connectivity's pair search runs on them with cap 4. So no search runs
-    when n - 1 - Delta < 4.
+    when n - 1 - Delta < 4, nor when 2 Delta <= n - 4: then the complement's
+    least degree is at least (n + 2)/2, and a graph of least degree at least
+    (n + k - 2)/2 is k-connected (Chartrand & Harary, 1968).
 
     Condition (d) runs no BFS: on a connected graph, diameter >= 3 holds iff
     some two vertices have no common neighbour and no edge. Each vertex ORs
@@ -288,14 +290,17 @@ def exactness_certificate(
     n, m = g.n, g.m
     if n <= 3:
         raise ValueError("hypothesis violated: certificate requires more than 3 vertices")
-    if n <= kappa_cap and n - 1 - max_degree(g) >= 4:
+    delta_max = max_degree(g)
+    if n <= kappa_cap and n - 1 - delta_max >= 4:
+        if 2 * delta_max <= n - 4:
+            return EXACT_A
         full = (1 << n) - 1
-        far = [full ^ mask ^ 1 << v for v, mask in enumerate(_neighbour_masks(g, 0, n))]
+        far = [full ^ mask ^ 1 << v for v, mask in enumerate(_full_masks(g))]
         if _least_pair_connectivity(far, int(np.argmax(g.degrees)), 4, 3) == 4:
             return EXACT_A
     if is_triangle_free(g):
         return EXACT_B
-    if _degree_certificate(n, m, max_degree(g)):
+    if _degree_certificate(n, m, delta_max):
         return EXACT_C
     if _has_far_pair(g):
         return EXACT_D
@@ -438,26 +443,23 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
     misses n - 1 - delta others; when the two meet (delta = 1, say) no
     search runs at all. Nor does it when n > 3 and certificate (c), the
     max-degree inequality of :func:`exactness_certificate`, already proves
-    mc(G) = m - n + 2. The tests check it against an independent exhaustive
-    partition oracle.
+    mc(G) = m - n + 2. Delta and delta are the bit counts of the neighbour
+    masks that the connectivity walk has already built and cached. The tests
+    check it against an independent exhaustive partition oracle.
     """
     if not is_connected(g):
         return 0
     n, m = g.n, g.m
     if m > cap:
         raise CapExceededError(f"edge count {m} too large for the exact search (cap {cap})")
-    edges = g.edges
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
+    degree = [mask.bit_count() for mask in _full_masks(g)]
     seed = m - n + 2
     top = m - n + min(degree) + 1
     if seed >= top:  # a single vertex has seed 1 > top 0; otherwise seed <= top
         return top
     if n > 3 and _degree_certificate(n, m, max(degree)):
         return seed
-    return m - _tree_cover_search(edges, n, m - seed, m - top)
+    return m - _tree_cover_search(g.edges, n, m - seed, m - top)
 
 
 def analyze(

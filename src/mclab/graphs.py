@@ -5,16 +5,19 @@ with ``u < v``, sorted lexicographically, no duplicates. All values are
 immutable after construction and safe to share between threads or processes.
 
 A ``Graph`` caches, on first use, its degrees, whether it is connected (a walk
-over neighbour bitmasks up to ``_SMALL_EDGES`` edges, scipy's labelling above),
-and one symmetric CSR adjacency matrix with sorted rows. Connectivity, vertex
-connectivity, certificate (d)'s far-pair test and the chromatic number read
-neighbourhoods as Python-int bitmasks from one builder: a loop over the edges
-up to ``_SMALL_EDGES`` edges, CSR row blocks above. Vertex connectivity reads
-nothing else: its pairs' short paths, and the augmenting searches that grow
-them, run on the masks, as certificate (a) does on the complemented masks.
-The triangle test reads none of it but the degrees: it first looks for a
-triangle through vertex 0 in the rows of its neighbours, and only when none
-exists orients the edge array into a CSR of its own.
+over neighbour bitmasks up to ``_SMALL_EDGES`` edges and on dense graphs whose
+masks fit one block, scipy's labelling otherwise), one symmetric CSR adjacency
+matrix with sorted rows, and, when its n x n bools fit one block of
+``_BLOCK_BYTES``, the list of its neighbourhoods as Python-int bitmasks.
+Connectivity, vertex connectivity, certificate (a), certificate (d)'s far-pair
+test and the chromatic number read that list; the masks come from one builder:
+a loop over the edges up to ``_SMALL_EDGES`` edges, one block scattered from
+the edge array when n x n bools fit it, CSR row blocks above. Vertex
+connectivity reads nothing else: its pairs' short paths, and the augmenting
+searches that grow them, run on the masks, as certificate (a) does on the
+complemented masks. The triangle test reads none of it but the degrees: it
+first looks for a triangle through vertex 0 in the rows of its neighbours, and
+only when none exists orients the edge array into a CSR of its own.
 """
 
 from __future__ import annotations
@@ -36,16 +39,24 @@ MAX_EDGES = 1 << 28
 
 # working memory, in bytes, of one block of the array checks: the row blocks of
 # the diameter and triangle tests and of the neighbour masks here, and of the
-# coloring verifier
+# coloring verifier; a graph whose n x n bools fit one block keeps its masks
 _BLOCK_BYTES = 1 << 20
 
 DEFAULT_CHI_CAP = 16  # exact chromatic number is exponential in n
 
 # up to this many edges one loop over the edges builds the neighbour masks (about
 # 10 us at m = 64 against 0.2 ms for the CSR), and Graph._connected walks them: on
-# 2 cores, building ``edges`` and walking took 2.3 / 18 / 56 / 159 us at m = 6 / 66 /
+# 2 cores, building the masks and walking took 2.3 / 18 / 56 / 159 us at m = 6 / 66 /
 # 220 / 437, scipy's labelling 93-173 us at any m, so 64 keeps the walk near 30 us
 _SMALL_EDGES = 64
+
+# past _SMALL_EDGES, Graph._connected still walks the masks of a graph whose
+# n x n bools fit one block when n^2 <= _WALK_DENSITY * m: on 2 cores, at
+# n = 300..1024, building the masks and walking took 0.6-1.0 of scipy's
+# labelling at n^2/m = 4..10 (0.8 ms against 1.0 ms at n = 600, n^2/m = 8) and
+# 1.0-1.2 of it at n^2/m = 16..20; at n <= 200 the walk won at every density.
+# The masks it builds are then cached, at most an eighth of the edge array's bytes
+_WALK_DENSITY = 10
 
 EdgePair = tuple[int, int]
 
@@ -123,27 +134,35 @@ class Graph:
 
     @cached_property
     def _connected(self) -> bool:
-        # scipy's labelling costs about 0.1 ms at any size: small graphs walk masks
-        n = self.n
-        if self.m < n - 1:
+        # scipy's labelling costs about 0.1 ms at any size: small and dense graphs walk masks
+        n, m = self.n, self.m
+        if m < n - 1:
             return False
-        if self.m > _SMALL_EDGES:
+        if m > _SMALL_EDGES and n * n > min(_BLOCK_BYTES, _WALK_DENSITY * m):
             return component_labels(n, *self._array.T)[0] == 1
-        nbrs = _neighbour_masks(self, 0, n)
+        nbrs, full = _full_masks(self), (1 << n) - 1
         reached = todo = 1
-        while todo:
+        while todo and reached != full:
             low = todo & -todo
             new = nbrs[low.bit_length() - 1] & ~reached
             reached |= new
             todo = todo ^ low | new
-        return reached == (1 << n) - 1
+        return reached == full
+
+    @cached_property
+    def _masks(self) -> list[int]:
+        """Every vertex's neighbour mask, kept for the life of the graph; read
+        through :func:`_full_masks`, which asks for it only when n x n bools fit
+        one block, so it holds at most n^2/8 <= 128 KiB of bits."""
+        return _neighbour_masks(self, 0, self.n)
 
     @cached_property
     def _adjacency(self) -> csr_matrix:
         """Symmetric float32 CSR adjacency matrix, each row's columns ascending.
 
         Only its structure is read, never its values: by the spanning-tree BFS,
-        ``diameter``, the cut-vertex DFS and the mask builder past ``_SMALL_EDGES``."""
+        ``diameter``, the cut-vertex DFS and the mask builder on graphs past
+        ``_SMALL_EDGES`` edges whose n x n bools take more than one block."""
         arr, n = self._array, self.n
         ones = np.ones(arr.shape[0], dtype=np.float32)
         # the canonical edge array is the upper triangle in CSR order
@@ -297,28 +316,50 @@ def _neighbour_masks(g: Graph, start: int, stop: int) -> list[int]:
     v is set iff u ~ v.
 
     Up to ``_SMALL_EDGES`` edges, where the CSR alone costs more, one loop over
-    the edges sets the bits, and the full range returns its list uncopied. Above,
-    rows are cut from the CSR a block of about ``_BLOCK_BYTES`` of bool at a time
-    and packed to bytes, so besides the masks the build holds one block, whatever n.
+    the edges sets the bits. Above, a graph whose n x n bools fit one block of
+    ``_BLOCK_BYTES`` scatters both orientations of its edge array into that
+    block and packs it to bytes, with no CSR. Either way the full range returns
+    its list uncopied. Larger graphs cut rows from the CSR a block of about
+    ``_BLOCK_BYTES`` of bool at a time and pack them, so besides the masks the
+    build holds one block, whatever n.
     """
     n = g.n
     if g.m <= _SMALL_EDGES:
         masks = [0] * n
-        for u, v in g.edges:
+        for u, v in g._array.tolist():
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return masks if (start, stop) == (0, n) else masks[start:stop]
-    adj = g._adjacency
-    rows, width = max(1, _BLOCK_BYTES // n), (n + 7) // 8
-    masks = []
-    for lo in range(start, stop, rows):
-        hi = min(lo + rows, stop)
-        ends = adj.indptr[lo : hi + 1]
-        block = np.zeros((hi - lo, n), dtype=bool)
-        block[np.repeat(np.arange(hi - lo), np.diff(ends)), adj.indices[ends[0] : ends[-1]]] = True
-        packed = np.packbits(block, axis=1, bitorder="little").tobytes()
-        masks += [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
-    return masks
+    elif n * n <= _BLOCK_BYTES:
+        heads, tails = g._array.T
+        block = np.zeros(n * n, dtype=bool)
+        block[heads * n + tails] = True
+        block[tails * n + heads] = True
+        masks = _packed_rows(block.reshape(n, n))
+    else:
+        adj = g._adjacency
+        rows = max(1, _BLOCK_BYTES // n)
+        masks = []
+        for lo in range(start, stop, rows):
+            hi = min(lo + rows, stop)
+            ends = adj.indptr[lo : hi + 1]
+            block = np.zeros((hi - lo, n), dtype=bool)
+            block[np.repeat(np.arange(hi - lo), np.diff(ends)), adj.indices[ends[0] : ends[-1]]] = True
+            masks += _packed_rows(block)
+        return masks
+    return masks if (start, stop) == (0, n) else masks[start:stop]
+
+
+def _packed_rows(block: np.ndarray) -> list[int]:
+    """Each row of a 2-D bool array as an int, column j at bit j."""
+    width = (block.shape[1] + 7) // 8
+    packed = np.packbits(block, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+
+
+def _full_masks(g: Graph) -> list[int]:
+    """Every neighbour mask of g: the list cached on g when its n x n bools fit
+    one block of ``_BLOCK_BYTES`` (n <= 1024), a fresh build otherwise."""
+    return g._masks if g.n * g.n <= _BLOCK_BYTES else _neighbour_masks(g, 0, g.n)
 
 
 def _has_far_pair(g: Graph) -> bool:
@@ -329,39 +370,44 @@ def _has_far_pair(g: Graph) -> bool:
     Otherwise each vertex x ORs into its closed neighbourhood N[x] the
     neighbour masks of its neighbours, ascending, and stops as soon as the
     union holds every vertex; a row that runs out of neighbours first answers
-    yes. The masks come from :func:`_neighbour_masks` a block of rows at a
-    time, and a block is built only when a row first reads one of its masks,
-    so a graph with a far pair near the start builds few of them. With no far
-    pair every block gets built: n^2/8 bytes of masks, as kappa's take.
+    yes. A graph whose masks fit one block reads its cached list. A larger one reads them from :class:`_MaskBlocks`,
+    which builds a block of rows only when a row first reads one of its
+    masks, so a graph with a far pair near the start builds few of them. With
+    no far pair every block gets built: n^2/8 bytes of masks, as kappa's take.
     :func:`~mclab.coloring.exactness_certificate` reaches this test only when
-    2m >= (n - Delta)(n - 3) + 3(n - 1), so the masks outgrow the 16m bytes
-    of the edge array only when Delta exceeds about n - n/64.
+    2m >= (n - Delta)(n - 3) + 3(n - 1), so the masks outgrow the 16m bytes of
+    the edge array only when Delta exceeds about n - n/64.
     """
     n = g.n
     if max_degree(g) == n - 1:
         return False
-    rows, full = max(1, _BLOCK_BYTES // n), (1 << n) - 1
-    masks: list[int | None] = [None] * n
-
-    def mask(v: int) -> int:
-        found = masks[v]
-        if found is None:
-            lo = v - v % rows
-            hi = min(lo + rows, n)
-            masks[lo:hi] = _neighbour_masks(g, lo, hi)
-            found = masks[v]
-        return found
-
+    masks = g._masks if n * n <= _BLOCK_BYTES else _MaskBlocks(g)
+    full = (1 << n) - 1
     for x in range(n):
-        rest = mask(x)
+        rest = masks[x]
         reach = rest | (1 << x)
         while reach != full:
             if not rest:
                 return True
             low = rest & -rest
-            reach |= mask(low.bit_length() - 1)
+            reach |= masks[low.bit_length() - 1]
             rest ^= low
     return False
+
+
+class _MaskBlocks(dict):
+    """The neighbour masks of a graph by vertex, each block of rows of about
+    ``_BLOCK_BYTES`` of bool built by :func:`_neighbour_masks` when one of its
+    masks is first read."""
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.g, self.rows = g, max(1, _BLOCK_BYTES // g.n)
+
+    def __missing__(self, v: int) -> int:
+        lo = v - v % self.rows
+        self.update(enumerate(_neighbour_masks(self.g, lo, min(lo + self.rows, self.g.n)), lo))
+        return self[v]
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -602,8 +648,7 @@ def _connectivity(g: Graph, cap: int, stop: int) -> int:
     cap = min(cap, min_degree(g))
     if cap <= stop:
         return cap
-    masks = _neighbour_masks(g, 0, g.n)
-    return _least_pair_connectivity(masks, int(np.argmin(g.degrees)), cap, stop)
+    return _least_pair_connectivity(_full_masks(g), int(np.argmin(g.degrees)), cap, stop)
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -649,7 +694,7 @@ def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> int:
     n = g.n
     if n > cap:
         raise CapExceededError(f"graph too large for exact chromatic number (n={n} > cap={cap})")
-    masks = _neighbour_masks(g, 0, n)
+    masks = _full_masks(g)
     order = np.argsort(-g.degrees, kind="stable").tolist()
     clique = 0
     for v in order:

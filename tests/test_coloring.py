@@ -40,6 +40,7 @@ from mclab.coloring import (
 from mclab.errors import CapExceededError, NotConnectedError
 from mclab.graphs import (
     _SMALL_EDGES,
+    _WALK_DENSITY,
     Graph,
     _has_far_pair,
     complete_graph,
@@ -497,6 +498,68 @@ def test_certificate_a_reaches_four_by_augmenting_searches(monkeypatch):
     assert reached.count((EXACT_A, True)) >= 10
 
 
+def bounded_degree_graph(rng, n, top):
+    """A connected graph on n vertices with largest degree ``top`` >= 3: a
+    Hamiltonian path, vertex 0 joined to ``top - 1`` more vertices, and random
+    chords between vertices below degree ``top``, labels shuffled."""
+    degree = [1] + [2] * (n - 2) + [1]
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    for v in rng.choice(np.arange(2, n), top - 1, replace=False).tolist():
+        pairs.add((0, v))
+        degree[0] += 1
+        degree[v] += 1
+    for _ in range(n):
+        u, v = sorted(rng.choice(np.arange(1, n), 2, replace=False).tolist())
+        if (u, v) not in pairs and max(degree[u], degree[v]) < top:
+            pairs.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    label = rng.permutation(n).tolist()
+    return Graph.from_pairs(n, [(label[u], label[v]) for u, v in pairs])
+
+
+def test_certificate_a_degree_rung_matches_brute_complement(monkeypatch):
+    # 2 Delta <= n - 4 leaves the complement least degree >= (n + 2)/2, so it is
+    # 4-connected (Chartrand & Harary 1968) and (a) holds with no pair search
+    searches = []
+    real = mclab.coloring._least_pair_connectivity
+
+    def counted(*args):
+        searches.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(mclab.coloring, "_least_pair_connectivity", counted)
+    rng = np.random.default_rng(1968)
+    cases = [cycle_graph(n) for n in range(8, 31, 2)]
+    for n in range(8, 31, 3):
+        rung = (n - 4) // 2
+        cases += [bounded_degree_graph(rng, n, top) for top in (rung, rung + 1) if top >= 3]
+    fired = searched = 0
+    for g in cases:
+        n, top = g.n, int(g.degrees.max())
+        assert mclab.graphs.is_connected(g)
+        co_edges = oracles.brute_complement(n, list(g.edges))
+        searches.clear()
+        cert = exactness_certificate(g)
+        assert (cert == EXACT_A) == oracles.brute_is_k_connected(n, co_edges, 4), g
+        assert (not searches) == (2 * top <= n - 4), g
+        fired += not searches
+        searched += bool(searches)
+    assert fired >= 15 and searched >= 5
+
+
+def test_certificate_a_on_the_corpus_needs_no_pair_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the complement's pair search ran")
+
+    monkeypatch.setattr(mclab.coloring, "_least_pair_connectivity", refuse)
+    gnp64 = sample_gnp(64, 0.3, RngSeed(6))
+    assert (int(gnp64.degrees.max()), int(petersen_graph().degrees.max())) == (28, 3)
+    assert exactness_certificate(petersen_graph()) == EXACT_A
+    assert exactness_certificate(gnp64) == EXACT_A
+    assert analyze(gnp64).certificates[-1] == EXACT_A
+
+
 def two_cliques_sharing_a_vertex(a):
     """Copies of K_a on 0..a-1 and on 0, a..2a-2: n = 2a - 1, diameter 2, cut vertex 0."""
     second = [0, *range(a, 2 * a - 1)]
@@ -643,16 +706,21 @@ def test_exact_mc_within_cap_labels_no_components(monkeypatch):
     for edges in ([], [(0, 1), (2, 3), (3, 4)], [(0, 1), (0, 2), (1, 2), (3, 4)]):
         assert exact_mc_small(Graph(5, edges)) == 0 == oracles.oracle_mc(5, edges)
     assert not calls
-    # beyond the cap a disconnected graph still returns 0; at m = 10 the
-    # bitmask walk decides it, past _SMALL_EDGES one labelling does
+    # beyond the cap a disconnected graph still returns 0; at m = 10, and on
+    # the dense 2 K_12, the bitmask walk decides it; on the sparse 2 C_40,
+    # past _SMALL_EDGES and below the walk's density, one labelling does
     c5 = cycle_graph(5).edges
     two_c5 = Graph(10, c5 + tuple((u + 5, v + 5) for u, v in c5))
     assert exact_mc_small(two_c5, cap=9) == 0
-    assert not calls
     k12 = complete_graph(12).edges
     two_k12 = Graph(24, k12 + tuple((u + 12, v + 12) for u, v in k12))
-    assert two_k12.m == 132 > _SMALL_EDGES
+    assert two_k12.m == 132 > _SMALL_EDGES and 24 * 24 <= _WALK_DENSITY * 132
     assert exact_mc_small(two_k12) == 0
+    assert not calls
+    c40 = cycle_graph(40).edges
+    two_c40 = Graph(80, c40 + tuple((u + 40, v + 40) for u, v in c40))
+    assert two_c40.m == 80 > _SMALL_EDGES and 80 * 80 > _WALK_DENSITY * 80
+    assert exact_mc_small(two_c40) == 0
     assert sum(calls.values()) == 1
 
 
@@ -766,6 +834,7 @@ def test_analyze_labels_each_graph_once(monkeypatch):
         two_cliques_sharing_a_vertex(40),
         Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
         cycle_graph(6),
+        cycle_graph(100),
         path_graph(5),
         sample_gnp(64, 0.3, RngSeed(6)),
     ]
@@ -778,13 +847,29 @@ def test_analyze_labels_each_graph_once(monkeypatch):
         calls.clear()
         b = analyze(g)
         arr = g.edge_array
-        labelled = 1 if g.m > _SMALL_EDGES else 0
+        # small and dense graphs walk their masks (see Graph._connected)
+        labelled = 1 if g.m > _SMALL_EDGES and g.n * g.n > _WALK_DENSITY * g.m else 0
         assert calls[g.n, arr[:, 0].tobytes(), arr[:, 1].tobytes()] == labelled
         assert set(calls.values()) <= {1}  # G - v, for (e), is another graph
         if g.m <= 9:
             assert b.exact == oracles.oracle_mc(g.n, list(g.edges))
     calls.clear()
     assert analyze(Graph(4, [(0, 1), (2, 3)])).exact == 0 and not calls
+
+
+def test_analyze_on_dense_graphs_builds_no_csr_and_labels_nothing(monkeypatch):
+    calls = counting_component_labels(monkeypatch)
+    # the benchmark corpus's G(600, 0.5) and G(64, 0.3), with their pinned brackets
+    cases = (
+        (600, 0.5, 11, McBounds(89213, 89476, None, (TREE_LOWER, MIN_DEGREE_UPPER))),
+        (64, 0.3, 6, McBounds(531, 542, 531, (TREE_LOWER, MIN_DEGREE_UPPER, CONNECTIVITY_UPPER,
+                                              EXACT_A))),
+    )
+    for n, p, seed, expected in cases:
+        g = sample_gnp(n, p, RngSeed(seed))
+        assert analyze(g) == expected
+        assert not calls and "_adjacency" not in g.__dict__, g
+        assert "_masks" in g.__dict__
 
 
 def test_analyze_without_oracle_leaves_gap_open():

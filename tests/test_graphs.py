@@ -213,7 +213,8 @@ def joined_blocks(rng, n, blocks, m):
     return Graph.from_pairs(n, [(relabel[u], relabel[v]) for u, v in pairs])
 
 
-def test_is_connected_both_sides_of_small_edge_bound(monkeypatch):
+def counting_labels(monkeypatch):
+    """Route graphs.component_labels through a list of the vertex counts it labels."""
     calls = []
 
     def counted(n, heads, tails):
@@ -221,13 +222,20 @@ def test_is_connected_both_sides_of_small_edge_bound(monkeypatch):
         return component_labels(n, heads, tails)
 
     monkeypatch.setattr(graphs, "component_labels", counted)
+    return calls
+
+
+def test_is_connected_both_sides_of_small_edge_bound(monkeypatch):
+    calls = counting_labels(monkeypatch)
     rng = np.random.default_rng(6465)
-    n = 20
+    # n = 30 keeps m = 65 below the walk's density, so only the edge bound moves
+    n = 30
     cases = (
         ([list(range(n))], True),  # a path plus chords
         ([list(range(n - 1))], False),  # the last vertex isolated
-        ([list(range(10)), list(range(10, n))], False),  # two components
+        ([list(range(15)), list(range(15, n))], False),  # two components
     )
+    assert n * n > graphs._WALK_DENSITY * (graphs._SMALL_EDGES + 1)
     for m in (graphs._SMALL_EDGES, graphs._SMALL_EDGES + 1):
         for blocks, connected in cases:
             g = joined_blocks(rng, n, blocks, m)
@@ -239,6 +247,39 @@ def test_is_connected_both_sides_of_small_edge_bound(monkeypatch):
             assert len(calls) == (0 if m <= graphs._SMALL_EDGES else 1)
     calls.clear()
     assert is_connected(Graph(1)) and not calls
+
+
+def test_is_connected_both_sides_of_walk_density(block_bytes, monkeypatch):
+    calls = counting_labels(monkeypatch)
+    rng = np.random.default_rng(1024)
+    for n in (40, 150, 301):
+        # the fewest edges the walk takes, and one fewer
+        least = -(-n * n // graphs._WALK_DENSITY)
+        cases = (
+            ([list(range(n))], True),
+            ([list(range(n - 1))], False),
+            ([list(range(n // 2)), list(range(n // 2, n))], False),
+        )
+        for m in (least, least - 1):
+            walks = n * n <= min(graphs._BLOCK_BYTES, graphs._WALK_DENSITY * m)
+            assert walks == (m == least and graphs._BLOCK_BYTES >= n * n)
+            for blocks, connected in cases:
+                g = joined_blocks(rng, n, blocks, m)
+                calls.clear()
+                assert is_connected(g) is connected == oracles.brute_connected(n, g.edges)
+                assert len(calls) == (0 if walks else 1), (n, m)
+                assert ("_masks" in g.__dict__) == walks
+
+
+def test_is_connected_on_a_long_path_builds_no_masks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the masks of a 2^16-vertex path take 512 MB")
+
+    monkeypatch.setattr(graphs, "_neighbour_masks", refuse)
+    g = path_graph(1 << 16)
+    assert is_connected(g)
+    # vertex 0 cut off, and a chord to keep m = n - 1
+    assert not is_connected(Graph.from_pairs(1 << 16, [(1, 3), *g.edge_array[1:].tolist()]))
 
 
 def test_queries_match_brute_force_sampled_n6():
@@ -307,7 +348,13 @@ def test_neighbour_masks_are_the_edge_set_bits(block_bytes):
     rng = np.random.default_rng(8128)
     cases = [Graph(1), Graph(9, [(0, 8)]), petersen_graph(), star_graph(17)]
     cases += [sample_gnp(n, p, RngSeed(8128, n)) for n, p in ((13, 0.4), (70, 0.1), (130, 0.6))]
-    # both sides of the bound between the edge loop and the CSR blocks
+    cases += [complete_graph(12)] + [sample_gnp(n, 0.6, RngSeed(300, n)) for n in (20, 57, 300)]
+    # isolated vertices, n not a multiple of 8: the padding bits stay clear
+    for n in (23, 101, 299):
+        inside = sorted(rng.choice(n, n - 5, replace=False).tolist())
+        pairs = [p for p in itertools.combinations(inside, 2) if rng.random() < 0.6]
+        cases.append(Graph.from_pairs(n, pairs))
+    # both sides of the bound between the edge loop and the block builds
     cases += [joined_blocks(rng, 20, [list(range(20))], m) for m in (64, 65)]
     assert [g.m for g in cases[-2:]] == [graphs._SMALL_EDGES, graphs._SMALL_EDGES + 1]
     for g in cases:
@@ -315,6 +362,14 @@ def test_neighbour_masks_are_the_edge_set_bits(block_bytes):
         for u, v in g.edge_set:
             expected[u] |= 1 << v
             expected[v] |= 1 << u
+        # past the bound, one block scattered from the edge array, cached on
+        # the graph, when n x n bools fit one, the CSR's row blocks otherwise
+        one_block = g.n * g.n <= graphs._BLOCK_BYTES
+        assert graphs._full_masks(g) == expected, g
+        assert ("_masks" in g.__dict__) == one_block
+        assert ("_adjacency" in g.__dict__) == (g.m > graphs._SMALL_EDGES and not one_block)
+        if one_block:
+            assert graphs._full_masks(g) is g._masks
         assert graphs._neighbour_masks(g, 0, g.n) == expected, g
         start = int(rng.integers(0, g.n))
         stop = int(rng.integers(start, g.n + 1))
@@ -687,7 +742,10 @@ def test_connectivity_draws_pairs_lazily(monkeypatch):
     assert drawn == [(0, 6)]
 
 
-def test_mask_readers_skip_the_csr_up_to_the_small_edge_bound():
+def test_mask_readers_skip_the_csr_up_to_the_small_edge_bound(monkeypatch):
+    # 64-byte blocks hold the masks of no graph here in one block, so past
+    # _SMALL_EDGES only the CSR gives them
+    monkeypatch.setattr(graphs, "_BLOCK_BYTES", 64)
     g = joined_blocks(np.random.default_rng(64), 20, [list(range(20))], graphs._SMALL_EDGES)
     queries = [chromatic_number, vertex_connectivity, lambda h: is_k_connected(h, 3), _has_far_pair]
     for h, query in [(petersen_graph(), q) for q in queries] + [(g, q) for q in queries[1:]]:
@@ -701,6 +759,25 @@ def test_mask_readers_skip_the_csr_up_to_the_small_edge_bound():
     assert g.m == graphs._SMALL_EDGES + 1 and min_degree(g) >= 2
     vertex_connectivity(g)
     assert "_adjacency" in g.__dict__
+
+
+def test_mask_readers_share_one_cached_list_while_masks_fit_one_block(monkeypatch):
+    builds = []
+    real = graphs._neighbour_masks
+
+    def counted(g, start, stop):
+        builds.append((g.n, start, stop))
+        return real(g, start, stop)
+
+    monkeypatch.setattr(graphs, "_neighbour_masks", counted)
+    dense = sample_gnp(16, 0.7, RngSeed(16))
+    assert dense.m > graphs._SMALL_EDGES
+    for g in (petersen_graph(), dense):
+        builds.clear()
+        for query in (is_connected, chromatic_number, vertex_connectivity, _has_far_pair):
+            query(g)
+        assert builds == [(g.n, 0, g.n)]
+        assert "_adjacency" not in g.__dict__
 
 
 def connected_non_complete(sizes):
