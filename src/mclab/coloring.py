@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,6 +35,7 @@ from .graphs import (
     _full_masks,
     _has_far_pair,
     _least_pair_connectivity,
+    _memo,
     chromatic_number,
     component_labels,
     is_connected,
@@ -112,7 +112,7 @@ class EdgeColoring:
         mapping: dict[object, int] = {}
         return cls(graph, [mapping.setdefault(lab, len(mapping)) for lab in raw])
 
-    @cached_property
+    @_memo
     def labels(self) -> tuple[int, ...]:
         return tuple(self._array.tolist())
 
@@ -155,7 +155,7 @@ def first_uncovered_pair(g: Graph, c: EdgeColoring) -> Optional[tuple[int, int]]
     block of rows u at a time: (u, v) is covered iff some class component holds
     both.
     """
-    if c.graph != g:
+    if c.graph is not g and c.graph != g:
         raise ValueError("coloring does not belong to this graph")
     n, m = g.n, g.m
     if n == 1:
@@ -166,8 +166,8 @@ def first_uncovered_pair(g: Graph, c: EdgeColoring) -> Optional[tuple[int, int]]
     big = np.flatnonzero(np.bincount(labels, minlength=c.num_colors) >= n - 1)
     if big.size:
         keep = np.isin(labels, big)
-        offset = np.searchsorted(big, labels[keep]) * n
-        _, comp = component_labels(big.size * n, arr[keep, 0] + offset, arr[keep, 1] + offset)
+        offset, kept = np.searchsorted(big, labels[keep]) * n, arr[keep]
+        _, comp = component_labels(big.size * n, kept[:, 0] + offset, kept[:, 1] + offset)
         if (np.bincount(comp) == n).any():
             return None
     # one node per (class, vertex) incidence; its components are the class components
@@ -296,7 +296,7 @@ def exactness_certificate(
             return EXACT_A
         full = (1 << n) - 1
         far = [full ^ mask ^ 1 << v for v, mask in enumerate(_full_masks(g))]
-        if _least_pair_connectivity(far, int(np.argmax(g.degrees)), 4, 3) == 4:
+        if _least_pair_connectivity(far, int(g.degrees.argmax()), 4, 3) == 4:
             return EXACT_A
     if is_triangle_free(g):
         return EXACT_B
@@ -309,9 +309,9 @@ def exactness_certificate(
     full = np.flatnonzero(g.degrees == n - 1)
     if full.size == 1:
         arr = g.edge_array
-        keep = (arr != full[0]).all(axis=1)
+        kept = arr[(arr != full[0]).all(axis=1)]
         # the cut vertex itself is left isolated, one of the components
-        if component_labels(n, arr[keep, 0], arr[keep, 1])[0] > 2:
+        if component_labels(n, kept[:, 0], kept[:, 1])[0] > 2:
             return EXACT_E
     return None
 
@@ -423,6 +423,24 @@ def _tree_cover_search(edges: Sequence[EdgePair], n: int, best: int, floor: int)
     return best
 
 
+def _star_cover_cost(masks: list[int]) -> int:
+    """n - max(k, 2), where k counts the components of the complement of the
+    graph with neighbour masks ``masks``: the cost of the star cover when
+    k >= 3, of a spanning tree otherwise (see :func:`exact_mc_small`)."""
+    n, k = len(masks), 0
+    left = full = (1 << n) - 1
+    while left:
+        comp = todo = left & -left
+        while todo:  # a walk over the complement's masks
+            low = todo & -todo
+            new = (full ^ masks[low.bit_length() - 1] ^ low) & ~comp
+            comp |= new
+            todo = todo ^ low | new
+        left ^= comp
+        k += 1
+    return n - max(k, 2)
+
+
 def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Exact mc(G) as m - tau(G), by a tree-cover search; 0 when disconnected.
 
@@ -437,29 +455,51 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
     A connected graph with more than ``cap`` edges raises.
 
-    The search starts from m - n + 2, the color count of the always-valid
-    spanning-tree coloring (cost n - 2), and stops at the upper bound
-    m - n + delta + 1, which is at most C(n, 2) since a vertex of degree delta
-    misses n - 1 - delta others; when the two meet (delta = 1, say) no
-    search runs at all. Nor does it when n > 3 and certificate (c), the
-    max-degree inequality of :func:`exactness_certificate`, already proves
-    mc(G) = m - n + 2. Delta and delta are the bit counts of the neighbour
-    masks that the connectivity walk has already built and cached. The tests
-    check it against an independent exhaustive partition oracle.
+    The search stops at the upper bound m - n + delta + 1, which is at most
+    C(n, 2) since a vertex of degree delta misses n - 1 - delta others; when
+    the spanning-tree coloring's m - n + 2 colors (cost n - 2) already meet it
+    (delta = 1, say) no search runs at all. Nor does it when n > 3 and
+    certificate (c), the max-degree inequality of
+    :func:`exactness_certificate`, already proves mc(G) = m - n + 2. Delta and
+    delta are the bit counts of the neighbour masks that the connectivity walk
+    has already built and cached.
+
+    Otherwise the search starts from the cheaper of the spanning tree and the
+    star cover (:func:`_star_cover_cost`), and does not run when that already
+    meets the upper bound. Every non-edge joins two vertices of one component
+    of the complement, so when it has k >= 2 components, every vertex outside
+    a component C is adjacent to all of C. The star cover takes, for each C
+    with at least 2 vertices, the star from the lowest vertex c outside C to
+    the vertices of C: a tree with |C| edges, cost |C| - 1, that holds every
+    non-edge inside C; in all, sum(|C| - 1) = n - k, below the spanning tree's
+    n - 2 when k >= 3. Two stars share an edge only when each centre lies in
+    the other's component, and the shared edge is the one between the
+    centres; since a centre lies in one component, each star shares with at
+    most one other. Two such stars, on C and C', join into one tree on C + C'
+    with |C| + |C'| - 1 edges and the same total cost (C_4 is such a case:
+    its complement is 2 K_2). So the stars, thus merged, are a tree cover,
+    and n - k bounds tau from above.
+
+    The tests check it against an independent exhaustive partition oracle,
+    and against the search started from the spanning tree alone.
     """
     if not is_connected(g):
         return 0
     n, m = g.n, g.m
     if m > cap:
         raise CapExceededError(f"edge count {m} too large for the exact search (cap {cap})")
-    degree = [mask.bit_count() for mask in _full_masks(g)]
+    masks = _full_masks(g)
+    degree = [mask.bit_count() for mask in masks]
     seed = m - n + 2
     top = m - n + min(degree) + 1
     if seed >= top:  # a single vertex has seed 1 > top 0; otherwise seed <= top
         return top
     if n > 3 and _degree_certificate(n, m, max(degree)):
         return seed
-    return m - _tree_cover_search(g.edges, n, m - seed, m - top)
+    best = _star_cover_cost(masks)
+    if best <= m - top:
+        return m - best
+    return m - _tree_cover_search(g.edges, n, best, m - top)
 
 
 def analyze(

@@ -4,11 +4,14 @@ Vertices are ``0..n-1``. Edges are stored canonically: each pair ``(u, v)``
 with ``u < v``, sorted lexicographically, no duplicates. All values are
 immutable after construction and safe to share between threads or processes.
 
-A ``Graph`` caches, on first use, its degrees, whether it is connected (a walk
-over neighbour bitmasks up to ``_SMALL_EDGES`` edges and on dense graphs whose
-masks fit one block, scipy's labelling otherwise), one symmetric CSR adjacency
-matrix with sorted rows, and, when its n x n bools fit one block of
-``_BLOCK_BYTES``, the list of its neighbourhoods as Python-int bitmasks.
+A ``Graph`` caches, on first use, the CSR row pointer of its edge array (the
+edges each vertex heads), its degrees, whether it is connected (a walk over
+neighbour bitmasks up to ``_SMALL_EDGES`` edges and on dense graphs whose masks
+fit one block, scipy's labelling otherwise), one symmetric CSR adjacency matrix
+with sorted rows, and, when its n x n bools fit one block of ``_BLOCK_BYTES``,
+the list of its neighbourhoods as Python-int bitmasks. Each is memoised by
+:class:`_memo`, which takes no lock. The degrees, the CSR, the triangle test
+and ``threshold.decide_mc_at_least`` read the one row pointer.
 Connectivity, vertex connectivity, certificate (a), certificate (d)'s far-pair
 test and the chromatic number read that list; the masks come from one builder:
 a loop over the edges up to ``_SMALL_EDGES`` edges, one block scattered from
@@ -23,7 +26,6 @@ only when none exists orients the edge array into a CSR of its own.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,6 +61,31 @@ _SMALL_EDGES = 64
 _WALK_DENSITY = 10
 
 EdgePair = tuple[int, int]
+
+
+class _memo:
+    """A method read as an attribute and computed on first read, which writes
+    its value into the instance's ``__dict__`` under the method's name, so
+    later reads find it there and never reach this descriptor.
+
+    Python 3.12's ``functools.cached_property`` does the same; 3.11's takes a
+    lock shared by every instance on each first read. This one takes none:
+    threads that race on a first read may each compute the value, and the
+    last to finish stores it, so every field it memoises must be a pure
+    function of the immutable instance.
+    """
+
+    def __init__(self, build):
+        self.build, self.__doc__ = build, build.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.build(instance)
+        return value
 
 
 class Graph:
@@ -118,21 +145,32 @@ class Graph:
         """Read-only (m, 2) int64 array of edges in canonical order."""
         return self._array
 
-    @cached_property
+    @_memo
     def edges(self) -> tuple[EdgePair, ...]:
         return tuple(map(tuple, self._array.tolist()))
 
-    @cached_property
+    @_memo
     def edge_set(self) -> frozenset[EdgePair]:
         return frozenset(self.edges)
 
-    @cached_property
+    @_memo
+    def _indptr(self) -> np.ndarray:
+        """Read-only CSR row pointer of the canonical edge array: vertex u heads
+        the rows ``_indptr[u]:_indptr[u+1]``, its edges to higher vertices."""
+        indptr = self._array[:, 0].searchsorted(np.arange(self.n + 1))
+        indptr.flags.writeable = False
+        return indptr
+
+    @_memo
     def degrees(self) -> np.ndarray:
-        d = np.bincount(self._array.ravel(), minlength=self.n)
+        # a vertex heads its edges to higher vertices, its row, and tails the rest
+        indptr = self._indptr
+        d = indptr[1:] - indptr[:-1]
+        d += np.bincount(self._array[:, 1], minlength=self.n)
         d.flags.writeable = False
         return d
 
-    @cached_property
+    @_memo
     def _connected(self) -> bool:
         # scipy's labelling costs about 0.1 ms at any size: small and dense graphs walk masks
         n, m = self.n, self.m
@@ -149,14 +187,14 @@ class Graph:
             todo = todo ^ low | new
         return reached == full
 
-    @cached_property
+    @_memo
     def _masks(self) -> list[int]:
         """Every vertex's neighbour mask, kept for the life of the graph; read
         through :func:`_full_masks`, which asks for it only when n x n bools fit
         one block, so it holds at most n^2/8 <= 128 KiB of bits."""
         return _neighbour_masks(self, 0, self.n)
 
-    @cached_property
+    @_memo
     def _adjacency(self) -> csr_matrix:
         """Symmetric float32 CSR adjacency matrix, each row's columns ascending.
 
@@ -166,7 +204,7 @@ class Graph:
         arr, n = self._array, self.n
         ones = np.ones(arr.shape[0], dtype=np.float32)
         # the canonical edge array is the upper triangle in CSR order
-        upper = csr_matrix((ones, arr[:, 1], np.searchsorted(arr[:, 0], np.arange(n + 1))), (n, n))
+        upper = csr_matrix((ones, arr[:, 1], self._indptr), (n, n))
         adj = upper + upper.T
         adj.sort_indices()  # only a check: scipy's sum of canonical matrices is sorted
         return adj
@@ -416,9 +454,10 @@ def is_triangle_free(g: Graph) -> bool:
     A triangle through vertex 0 answers first, with no pass over all m edges.
     Vertex 0's edges are the first rows of the canonical edge array, so its
     neighbourhood N(0) is a slice; such a triangle is an edge a-b, a < b, with
-    both ends in N(0), and it lies in the rows of a. A binary search on the
-    heads finds the rows of each a in N(0), and their tails are looked up in
-    a mark of N(0): O(Delta log m) plus the out-degrees d+(a) of N(0) in all.
+    both ends in N(0), and it lies in the rows of a. The graph's row pointer,
+    n + 1 binary searches on the heads that the degrees share, gives the rows
+    of each a in N(0), and their tails are looked up in a mark of N(0):
+    O(Delta) plus the out-degrees d+(a) of N(0) past the row pointer.
 
     Otherwise vertices are ranked by (degree, vertex), and each edge points
     from its lower-ranked end to its higher, which gives a strictly
@@ -434,12 +473,12 @@ def is_triangle_free(g: Graph) -> bool:
     while the six growing blocks of a triangle-free scan together hold about
     as much work as one full block.
     """
-    n, arr = g.n, g.edge_array
+    n, arr, indptr = g.n, g.edge_array, g._indptr
     heads, tails = arr[:, 0], arr[:, 1]
-    near = tails[: np.searchsorted(heads, 1)]  # N(0): vertex 0 heads the first rows
+    near = tails[: indptr[1]]  # N(0): vertex 0 heads the first rows
     mark = np.zeros(n, dtype=bool)
     mark[near] = True
-    starts, stops = np.searchsorted(heads, near), np.searchsorted(heads, near, side="right")
+    starts, stops = indptr[near], indptr[near + 1]
     counts = stops - starts  # the rows of each a in N(0), laid end to end
     rows = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
     if mark[tails[rows]].any():
@@ -648,7 +687,7 @@ def _connectivity(g: Graph, cap: int, stop: int) -> int:
     cap = min(cap, min_degree(g))
     if cap <= stop:
         return cap
-    return _least_pair_connectivity(_full_masks(g), int(np.argmin(g.degrees)), cap, stop)
+    return _least_pair_connectivity(_full_masks(g), int(g.degrees.argmin()), cap, stop)
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -695,7 +734,7 @@ def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> int:
     if n > cap:
         raise CapExceededError(f"graph too large for exact chromatic number (n={n} > cap={cap})")
     masks = _full_masks(g)
-    order = np.argsort(-g.degrees, kind="stable").tolist()
+    order = (-g.degrees).argsort(kind="stable").tolist()
     clique = 0
     for v in order:
         if clique & ~masks[v] == 0:

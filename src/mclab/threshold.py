@@ -236,9 +236,7 @@ def decide_mc_at_least(g: Graph, f_value: int) -> TrialOutcome:
     """
     if f_value < 1:
         raise ValueError("f_value must be at least 1")
-    heads, tails = g.edge_array.T
-    indptr = np.searchsorted(heads, np.arange(g.n + 1))
-    return _decide(g.n, indptr, tails, f_value)
+    return _decide(g.n, g._indptr, g.edge_array[:, 1], f_value)
 
 
 def run_trial(n: int, p: float, spec: ThresholdSpec, seed: RngSeed) -> TrialOutcome:

@@ -92,6 +92,21 @@ def test_edge_coloring_validation():
         EdgeColoring(path_graph(3), [0, 0.9])  # not truncated to (0, 0)
 
 
+def test_edge_coloring_labels_share_the_graph_memo(monkeypatch):
+    memo = EdgeColoring.__dict__["labels"]
+    assert isinstance(memo, mclab.graphs._memo) and memo.name == "labels"
+    built = []
+
+    def counted(c, build=memo.build):
+        built.append(c)
+        return build(c)
+
+    monkeypatch.setattr(memo, "build", counted)
+    c = EdgeColoring(cycle_graph(4), [0, 1, 0, 2])
+    assert c.labels == (0, 1, 0, 2) and c.labels is c.__dict__["labels"]
+    assert built == [c]
+
+
 CONTIGUOUS = "contiguous from 0 in first-occurrence order"
 
 
@@ -751,6 +766,114 @@ def test_exact_mc_runs_no_search_when_certificate_c_holds(monkeypatch):
                 assert exact_mc_small(Graph(n, edges)) == oracles.oracle_mc(n, edges)
                 checked += 1
     assert checked == 130
+
+
+def star_cover_coloring(g):
+    """The star cover of exact_mc_small as a coloring, with its cost: each
+    component C of the complement with at least 2 vertices takes the star
+    from the lowest vertex adjacent to all of C, two stars that share an edge
+    take one color, and every other edge takes a color of its own; None when
+    some such C has no vertex adjacent to all of it."""
+    n, adj = g.n, oracles.adjacency(g.n, g.edges)
+    owner, stars = {}, 0
+    for comp in oracles.brute_components(n, oracles.brute_complement(n, list(g.edges))):
+        if len(comp) < 2:
+            continue
+        centres = [c for c in range(n) if adj[c] >= set(comp)]
+        if not centres:
+            return None
+        star = [(min(centres[0], v), max(centres[0], v)) for v in comp]
+        shared = {owner[e] for e in star if e in owner}
+        assert len(shared) <= 1  # a star shares an edge with at most one other
+        owner.update(dict.fromkeys(star, shared.pop() if shared else stars))
+        stars += 1
+    for label in set(owner.values()):  # each class, merged or not, is a tree
+        class_edges = [e for e, owned in owner.items() if owned == label]
+        assert len({v for e in class_edges for v in e}) == len(class_edges) + 1
+    coloring = EdgeColoring.from_labels(g, [owner.get(e, e) for e in g.edges])
+    return coloring, g.m - coloring.num_colors
+
+
+def test_star_cover_coloring_reaches_mc_on_k_n_minus_a_perfect_matching():
+    # K_n minus a perfect matching: its complement is n/2 K_2 and chi = n/2,
+    # so the chromatic upper bound m - n/2 meets the star cover's m - n/2 colors
+    for n in (4, 6, 8):
+        g = Graph(n, [e for e in complete_graph(n).edges if e[0] % 2 or e[1] != e[0] + 1])
+        coloring, cost = star_cover_coloring(g)
+        assert cost == n // 2 == mclab.coloring._star_cover_cost(mclab.graphs._full_masks(g))
+        assert verify_mc_coloring(g, coloring)
+        assert coloring.num_colors == g.m - n // 2 == mc_upper_bound(g)[0]
+        if n < 8:
+            assert exact_mc_small(g, cap=g.m) == g.m - n // 2
+    # C_4's complement is 2 K_2, and the centre of each star lies in the other's
+    # component: the stars 1-0, 1-2 and 0-1, 0-3 share the edge 0-1, and join
+    # into the path 3-0-1-2, which leaves the edge 2-3 a color of its own
+    c4 = cycle_graph(4)
+    coloring, cost = star_cover_coloring(c4)
+    assert cost == 2 and coloring.labels == (0, 0, 0, 1) and verify_mc_coloring(c4, coloring)
+    assert exact_mc_small(c4) == 2 == oracles.oracle_mc(4, list(c4.edges))
+
+
+def test_star_cover_cost_matches_its_coloring_up_to_n5():
+    cheaper = 0
+    for n in range(2, 6):
+        for edges in connected_edge_subsets(n):
+            g = Graph(n, edges)
+            cost = mclab.coloring._star_cover_cost(mclab.graphs._full_masks(g))
+            parts = len(oracles.brute_components(n, oracles.brute_complement(n, edges)))
+            star = star_cover_coloring(g)
+            # one component of the complement has no vertex outside it
+            assert (star is None) == (parts == 1)
+            assert cost == n - max(parts, 2)
+            if star is not None:
+                coloring, star_cost = star
+                assert star_cost == n - parts and verify_mc_coloring(g, coloring)
+                assert exact_mc_small(g) >= coloring.num_colors
+                cheaper += star_cost < n - 2
+    assert cheaper > 0
+
+
+def test_exact_mc_matches_the_unseeded_search_on_every_connected_graph_up_to_n6():
+    checked = 0
+    for n in range(1, 7):
+        for edges in connected_edge_subsets(n):
+            g = Graph(n, edges)
+            m, degs = len(edges), [sum(x in e for e in edges) for x in range(n)]
+            top = m - n + min(degs) + 1
+            # the search from the spanning tree alone, with no certificate first
+            expected = top if m - n + 2 >= top else (
+                m - mclab.coloring._tree_cover_search(g.edges, n, n - 2, m - top))
+            assert exact_mc_small(g, cap=15) == expected, edges
+            checked += 1
+    assert checked == 27476
+
+
+def test_exact_mc_runs_no_search_when_the_star_cover_meets_the_upper_bound(monkeypatch):
+    searched = []
+    search = mclab.coloring._tree_cover_search
+
+    def counted(edges, n, best, floor):
+        searched.append((n, best))
+        return search(edges, n, best, floor)
+
+    monkeypatch.setattr(mclab.coloring, "_tree_cover_search", counted)
+    skipped = 0
+    for n in range(3, 6):
+        for edges in connected_edge_subsets(n):
+            m, degs = len(edges), [sum(x in e for e in edges) for x in range(n)]
+            certified = n > 3 and max(degs) * (n - 3) < n * (n - 3) - (2 * m - 3 * (n - 1))
+            if min(degs) < 2 or certified:
+                continue
+            g, before = Graph(n, edges), len(searched)
+            assert exact_mc_small(g) == oracles.oracle_mc(n, edges)
+            if len(searched) == before:
+                top = m - n + min(degs) + 1
+                assert star_cover_coloring(g)[0].num_colors == top
+                skipped += 1
+    # of the 134 graphs with n <= 5 that the cheap exits leave, the star
+    # cover settles 59, and 15 of the 75 searches start below n - 2
+    assert (skipped, len(searched)) == (59, 75)
+    assert sum(best < n - 2 for n, best in searched) == 15
 
 
 def test_sandwich_and_completeness_small():

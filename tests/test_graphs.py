@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -310,6 +312,119 @@ def test_adjacency_rows_are_sorted_neighbour_lists_up_to_n5():
 def separating_pairs(g):
     """The pair generator of g's vertex-connectivity search, from v of minimum degree."""
     return graphs._separating_pairs(graphs._neighbour_masks(g, 0, g.n), int(np.argmin(g.degrees)))
+
+
+# ------------------------------------------------ memo and row pointer
+
+MEMOISED = ("edges", "edge_set", "_indptr", "degrees", "_connected", "_masks", "_adjacency")
+
+
+def test_memoised_fields_are_built_once_under_their_own_names(monkeypatch):
+    built = []
+    for name in MEMOISED:
+        memo = Graph.__dict__[name]
+        assert isinstance(memo, graphs._memo) and memo.name == name
+
+        def counted(g, name=name, build=memo.build):
+            built.append(name)
+            return build(g)
+
+        monkeypatch.setattr(memo, "build", counted)
+    # a small graph, a dense one past _SMALL_EDGES and a sparse one whose
+    # connectivity runs through scipy's labelling
+    for g in (petersen_graph(), sample_gnp(40, 0.6, RngSeed(40)), cycle_graph(200)):
+        built.clear()
+        for _ in range(3):
+            values = [getattr(g, name) for name in MEMOISED]
+        assert sorted(built) == sorted(MEMOISED), g
+        for name, value in zip(MEMOISED, values):
+            assert g.__dict__[name] is value
+
+
+def test_memoised_fields_agree_across_threads_on_a_fresh_graph():
+    # the memo takes no lock: threads racing on a first read may each build a
+    # field, and every reader must still get the one value
+    names = ("degrees", "_masks", "_connected", "edges")
+    base = sample_gnp(300, 0.4, RngSeed(300))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = Graph(base.n, base.edge_array)
+            gate, seen = threading.Barrier(8), []
+
+            def read():
+                gate.wait(timeout=30)
+                seen.append([getattr(g, name) for name in names])
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(seen) == 8
+            for degrees, masks, connected, edges in seen:
+                assert np.array_equal(degrees, base.degrees) and not degrees.flags.writeable
+                assert masks == graphs._neighbour_masks(base, 0, base.n)
+                assert connected is True and edges == base.edges
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def row_pointer_cases():
+    yield Graph(1)
+    yield Graph(5)
+    yield Graph(5, [(1, 2), (1, 4), (2, 3)])  # vertex 0 isolated
+    yield Graph(5, [(0, 1), (0, 3), (1, 2)])  # vertex 4 isolated
+    yield complete_graph(12)
+    for n, p, seed in ((2, 1.0, 1), (30, 0.1, 2), (64, 0.3, 6), (500, 0.02, 3)):
+        yield sample_gnp(n, p, RngSeed(seed))
+
+
+def test_degrees_from_the_row_pointer():
+    for g in row_pointer_cases():
+        heads = g.edge_array[:, 0]
+        assert g._indptr.tolist() == [int((heads < u).sum()) for u in range(g.n + 1)]
+        assert np.array_equal(g.degrees, np.bincount(g.edge_array.ravel(), minlength=g.n)), g
+        assert g.degrees.dtype == np.int64 and g.degrees.shape == (g.n,)
+        for array in (g._indptr, g.degrees):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
+def test_row_pointer_readers_on_every_connected_graph_up_to_n6():
+    checked = 0
+    for n in range(1, 7):
+        for edges in oracles.all_edge_subsets(n):
+            if not oracles.brute_connected(n, edges):
+                continue
+            g = Graph(n, edges)
+            degs = np.bincount(np.array(edges, dtype=np.int64).ravel(), minlength=n)
+            assert g.degrees.tolist() == degs.tolist()
+            adj = g._adjacency
+            rows = np.split(adj.indices, adj.indptr[1:-1])
+            assert [r.tolist() for r in rows] == [sorted(a) for a in oracles.adjacency(n, edges)]
+            assert is_triangle_free(g) == oracles.brute_triangle_free(n, edges)
+            checked += 1
+    assert checked == 27476
+
+
+def test_row_pointer_readers_on_the_benchmark_corpus():
+    # Petersen and the G(n,p) graphs of the single-graph benchmark
+    corpus = [petersen_graph()] + [sample_gnp(n, p, RngSeed(seed))
+                                   for n, p, seed in ((64, 0.3, 6), (600, 0.5, 11), (2000, 0.05, 5))]
+    for g in corpus:
+        heads, tails = g.edge_array.T
+        ones = np.ones(g.m)
+        ref = csr_matrix((np.concatenate((ones, ones)),
+                          (np.concatenate((heads, tails)), np.concatenate((tails, heads)))),
+                         shape=(g.n, g.n))
+        ref.sort_indices()
+        adj = g._adjacency
+        assert np.array_equal(adj.indptr, ref.indptr) and np.array_equal(adj.indices, ref.indices)
+        # a triangle is an edge whose ends share a neighbour
+        assert is_triangle_free(g) == (not (ref @ ref).multiply(ref).count_nonzero()), g
 
 
 def test_separating_pairs_match_brute_force_order():
