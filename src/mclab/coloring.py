@@ -26,16 +26,17 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.sparse import csr_matrix
 
+from . import graphs
 from .errors import CapExceededError, NotConnectedError
 from .graphs import (
-    _BLOCK_BYTES,
     DEFAULT_CHI_CAP,
     EdgePair,
     Graph,
-    _full_masks,
+    _complement,
     _has_far_pair,
     _least_pair_connectivity,
     _memo,
+    _reach,
     chromatic_number,
     component_labels,
     is_connected,
@@ -179,7 +180,7 @@ def first_uncovered_pair(g: Graph, c: EdgeColoring) -> Optional[tuple[int, int]]
         (np.ones(nodes.shape[0], dtype=bool), (nodes % n, comp)), shape=(n, count)
     )
     shared = member.T.tocsr()
-    rows = max(1, _BLOCK_BYTES // (8 * n))
+    rows = max(1, graphs._BLOCK_BYTES // (8 * n))
     for start in range(0, n - 1, rows):
         covered = (member[start : start + rows] @ shared).toarray()
         uncovered = np.triu(~covered, start + 1)  # keep v > u only
@@ -273,10 +274,11 @@ def exactness_certificate(
     (n + k - 2)/2 is k-connected (Chartrand & Harary, 1968).
 
     Condition (d) runs no BFS: on a connected graph, diameter >= 3 holds iff
-    some two vertices have no common neighbour and no edge. Each vertex ORs
-    the neighbour bitmasks of its neighbours into its own closed
-    neighbourhood until the union holds every vertex, and a vertex whose
-    neighbours run out first has a far partner (see :func:`_has_far_pair`).
+    some two vertices have no common neighbour and no edge. Unless the degrees
+    settle it, each vertex ORs the neighbour bitmasks of its neighbours into
+    its own closed neighbourhood until the union holds every vertex, and a
+    vertex whose neighbours run out first has a far partner (see
+    :func:`_has_far_pair`).
 
     Condition (e) runs no depth-first search either, because it is reached only
     with diameter <= 2. If removing v leaves x and y in different components,
@@ -294,9 +296,7 @@ def exactness_certificate(
     if n <= kappa_cap and n - 1 - delta_max >= 4:
         if 2 * delta_max <= n - 4:
             return EXACT_A
-        full = (1 << n) - 1
-        far = [full ^ mask ^ 1 << v for v, mask in enumerate(_full_masks(g))]
-        if _least_pair_connectivity(far, int(g.degrees.argmax()), 4, 3) == 4:
+        if _least_pair_connectivity(_complement(g._masks), int(g.degrees.argmax()), 4, 3) == 4:
             return EXACT_A
     if is_triangle_free(g):
         return EXACT_B
@@ -429,14 +429,9 @@ def _star_cover_cost(masks: list[int]) -> int:
     k >= 3, of a spanning tree otherwise (see :func:`exact_mc_small`)."""
     n, k = len(masks), 0
     left = full = (1 << n) - 1
+    far = _complement(masks)
     while left:
-        comp = todo = left & -left
-        while todo:  # a walk over the complement's masks
-            low = todo & -todo
-            new = (full ^ masks[low.bit_length() - 1] ^ low) & ~comp
-            comp |= new
-            todo = todo ^ low | new
-        left ^= comp
+        left ^= _reach(far, left & -left, full)
         k += 1
     return n - max(k, 2)
 
@@ -488,7 +483,7 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
     n, m = g.n, g.m
     if m > cap:
         raise CapExceededError(f"edge count {m} too large for the exact search (cap {cap})")
-    masks = _full_masks(g)
+    masks = g._masks
     degree = [mask.bit_count() for mask in masks]
     seed = m - n + 2
     top = m - n + min(degree) + 1

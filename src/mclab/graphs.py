@@ -4,23 +4,32 @@ Vertices are ``0..n-1``. Edges are stored canonically: each pair ``(u, v)``
 with ``u < v``, sorted lexicographically, no duplicates. All values are
 immutable after construction and safe to share between threads or processes.
 
-A ``Graph`` caches, on first use, the CSR row pointer of its edge array (the
-edges each vertex heads), its degrees, whether it is connected (a walk over
-neighbour bitmasks up to ``_SMALL_EDGES`` edges and on dense graphs whose masks
-fit one block, scipy's labelling otherwise), one symmetric CSR adjacency matrix
-with sorted rows, and, when its n x n bools fit one block of ``_BLOCK_BYTES``,
-the list of its neighbourhoods as Python-int bitmasks. Each is memoised by
-:class:`_memo`, which takes no lock. The degrees, the CSR, the triangle test
-and ``threshold.decide_mc_at_least`` read the one row pointer.
-Connectivity, vertex connectivity, certificate (a), certificate (d)'s far-pair
-test and the chromatic number read that list; the masks come from one builder:
-a loop over the edges up to ``_SMALL_EDGES`` edges, one block scattered from
-the edge array when n x n bools fit it, CSR row blocks above. Vertex
-connectivity reads nothing else: its pairs' short paths, and the augmenting
-searches that grow them, run on the masks, as certificate (a) does on the
-complemented masks. The triangle test reads none of it but the degrees: it
-first looks for a triangle through vertex 0 in the rows of its neighbours, and
-only when none exists orients the edge array into a CSR of its own.
+A ``Graph`` memoises these fields on first read, through :class:`_memo`, which
+takes no lock:
+
+* ``_indptr``, the CSR row pointer of its edge array (the edges each vertex
+  heads), read by the degrees, the CSR, the connectivity labelling, the
+  triangle test and ``threshold.decide_mc_at_least``;
+* ``degrees``;
+* ``_connected``: a walk over the neighbour masks up to ``_SMALL_EDGES`` edges
+  and on dense graphs whose n x n bools fit one block of ``_BLOCK_BYTES``,
+  scipy's labelling of the row pointer otherwise;
+* ``_adjacency``, one symmetric CSR adjacency matrix with sorted rows;
+* ``_masks``, its neighbourhoods as Python-int bitmasks, read by the
+  connectivity walk, vertex connectivity, certificate (a), the chromatic
+  number, the exact search and, up to one block, the far-pair test of
+  certificate (d). :func:`_neighbour_masks` builds them by a loop over the
+  edges up to ``_SMALL_EDGES`` edges, by one block scattered from the edge
+  array when n x n bools fit it, and by CSR row blocks above.
+
+Vertex connectivity reads nothing but the masks: its pairs' short paths, and
+the augmenting searches that grow them, run on them, as certificate (a) does
+on the complemented masks. The far-pair test reads masks only when the degrees
+leave it open; past one block it cuts row blocks as its rows first read them
+and keeps none, so a far pair near the start builds few. The triangle test
+reads none of it but the degrees: it first looks for a triangle through vertex
+0 in the rows of its neighbours, and only when none exists orients the edge
+array into a CSR of its own.
 """
 
 from __future__ import annotations
@@ -41,15 +50,17 @@ MAX_EDGES = 1 << 28
 
 # working memory, in bytes, of one block of the array checks: the row blocks of
 # the diameter and triangle tests and of the neighbour masks here, and of the
-# coloring verifier; a graph whose n x n bools fit one block keeps its masks
+# coloring verifier; a graph whose n x n bools fit one block scatters its masks
+# into one block with no CSR
 _BLOCK_BYTES = 1 << 20
 
 DEFAULT_CHI_CAP = 16  # exact chromatic number is exponential in n
 
-# up to this many edges one loop over the edges builds the neighbour masks (about
-# 10 us at m = 64 against 0.2 ms for the CSR), and Graph._connected walks them: on
-# 2 cores, building the masks and walking took 2.3 / 18 / 56 / 159 us at m = 6 / 66 /
-# 220 / 437, scipy's labelling 93-173 us at any m, so 64 keeps the walk near 30 us
+# up to this many edges one loop over the edges builds the neighbour masks (on 2
+# cores at m = 64, 9-16 us at n = 12..128 against 9-54 us for the one-block
+# scatter, whose cost grows with n), and Graph._connected walks them: on 2 cores,
+# building the masks and walking took 2.3 / 18 / 56 / 159 us at m = 6 / 66 / 220 /
+# 437, scipy's labelling 93-173 us at any m, so 64 keeps the walk near 30 us
 _SMALL_EDGES = 64
 
 # past _SMALL_EDGES, Graph._connected still walks the masks of a graph whose
@@ -177,22 +188,15 @@ class Graph:
         if m < n - 1:
             return False
         if m > _SMALL_EDGES and n * n > min(_BLOCK_BYTES, _WALK_DENSITY * m):
-            return component_labels(n, *self._array.T)[0] == 1
-        nbrs, full = _full_masks(self), (1 << n) - 1
-        reached = todo = 1
-        while todo and reached != full:
-            low = todo & -todo
-            new = nbrs[low.bit_length() - 1] & ~reached
-            reached |= new
-            todo = todo ^ low | new
-        return reached == full
+            return _csr_components(n, self._indptr, self._array[:, 1])[0] == 1
+        full = (1 << n) - 1
+        return _reach(self._masks, 1, full) == full
 
     @_memo
     def _masks(self) -> list[int]:
-        """Every vertex's neighbour mask, kept for the life of the graph; read
-        through :func:`_full_masks`, which asks for it only when n x n bools fit
-        one block, so it holds at most n^2/8 <= 128 KiB of bits."""
-        return _neighbour_masks(self, 0, self.n)
+        """Every vertex's neighbour mask (see :func:`_neighbour_masks`): n^2/8
+        bytes of bits, kept for the life of the graph like its other fields."""
+        return _neighbour_masks(self)
 
     @_memo
     def _adjacency(self) -> csr_matrix:
@@ -349,17 +353,16 @@ def has_cut_vertex(g: Graph) -> bool:
     return bool(articulation_points(g))
 
 
-def _neighbour_masks(g: Graph, start: int, stop: int) -> list[int]:
-    """Neighbour bitmasks of the vertices start..stop-1: bit u of the int for
-    v is set iff u ~ v.
+def _neighbour_masks(g: Graph) -> list[int]:
+    """Every vertex's neighbour bitmask: bit u of the int for v is set iff u ~ v.
 
-    Up to ``_SMALL_EDGES`` edges, where the CSR alone costs more, one loop over
-    the edges sets the bits. Above, a graph whose n x n bools fit one block of
-    ``_BLOCK_BYTES`` scatters both orientations of its edge array into that
-    block and packs it to bytes, with no CSR. Either way the full range returns
-    its list uncopied. Larger graphs cut rows from the CSR a block of about
-    ``_BLOCK_BYTES`` of bool at a time and pack them, so besides the masks the
-    build holds one block, whatever n.
+    Up to ``_SMALL_EDGES`` edges, where the block scatter costs as much or
+    more, one loop over the edges sets the bits. Above, a graph whose n x n
+    bools fit one block of ``_BLOCK_BYTES`` scatters both orientations of its
+    edge array into that block and packs it to bytes, with no CSR. Larger
+    graphs cut rows from the CSR a block of about ``_BLOCK_BYTES`` of bool at a
+    time (:func:`_mask_rows`), so besides the masks the build holds one block,
+    whatever n.
     """
     n = g.n
     if g.m <= _SMALL_EDGES:
@@ -374,17 +377,20 @@ def _neighbour_masks(g: Graph, start: int, stop: int) -> list[int]:
         block[tails * n + heads] = True
         masks = _packed_rows(block.reshape(n, n))
     else:
-        adj = g._adjacency
-        rows = max(1, _BLOCK_BYTES // n)
+        adj, rows = g._adjacency, max(1, _BLOCK_BYTES // n)
         masks = []
-        for lo in range(start, stop, rows):
-            hi = min(lo + rows, stop)
-            ends = adj.indptr[lo : hi + 1]
-            block = np.zeros((hi - lo, n), dtype=bool)
-            block[np.repeat(np.arange(hi - lo), np.diff(ends)), adj.indices[ends[0] : ends[-1]]] = True
-            masks += _packed_rows(block)
-        return masks
-    return masks if (start, stop) == (0, n) else masks[start:stop]
+        for lo in range(0, n, rows):
+            masks += _mask_rows(adj, lo, min(lo + rows, n))
+    return masks
+
+
+def _mask_rows(adj: csr_matrix, lo: int, hi: int) -> list[int]:
+    """The neighbour masks of vertices lo..hi-1, cut from the CSR adjacency
+    as one (hi - lo) x n block of bool."""
+    ends = adj.indptr[lo : hi + 1]
+    block = np.zeros((hi - lo, adj.shape[1]), dtype=bool)
+    block[np.repeat(np.arange(hi - lo), np.diff(ends)), adj.indices[ends[0] : ends[-1]]] = True
+    return _packed_rows(block)
 
 
 def _packed_rows(block: np.ndarray) -> list[int]:
@@ -394,32 +400,52 @@ def _packed_rows(block: np.ndarray) -> list[int]:
     return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
 
 
-def _full_masks(g: Graph) -> list[int]:
-    """Every neighbour mask of g: the list cached on g when its n x n bools fit
-    one block of ``_BLOCK_BYTES`` (n <= 1024), a fresh build otherwise."""
-    return g._masks if g.n * g.n <= _BLOCK_BYTES else _neighbour_masks(g, 0, g.n)
+def _reach(masks: list[int], seed: int, full: int) -> int:
+    """The bitmask of the vertices joined to those of ``seed`` by a walk in the
+    graph with neighbour masks ``masks``; it stops early once it holds ``full``."""
+    reached = todo = seed
+    while todo and reached != full:
+        low = todo & -todo
+        new = masks[low.bit_length() - 1] & ~reached
+        reached |= new
+        todo = todo ^ low | new
+    return reached
+
+
+def _complement(masks: list[int]) -> list[int]:
+    """The neighbour masks of the complement of the graph with ``masks``."""
+    full = (1 << len(masks)) - 1
+    return [full ^ mask ^ 1 << v for v, mask in enumerate(masks)]
 
 
 def _has_far_pair(g: Graph) -> bool:
     """True iff two distinct vertices have no path of length at most 2 between them.
 
-    On a connected graph this is exactly ``diameter(g) >= 3``. A vertex of
-    degree n - 1 puts every pair within distance 2, so it answers no at once.
-    Otherwise each vertex x ORs into its closed neighbourhood N[x] the
-    neighbour masks of its neighbours, ascending, and stops as soon as the
-    union holds every vertex; a row that runs out of neighbours first answers
-    yes. A graph whose masks fit one block reads its cached list. A larger one reads them from :class:`_MaskBlocks`,
-    which builds a block of rows only when a row first reads one of its
-    masks, so a graph with a far pair near the start builds few of them. With
-    no far pair every block gets built: n^2/8 bytes of masks, as kappa's take.
+    On a connected graph this is exactly ``diameter(g) >= 3``. Two degree
+    bounds answer first, with no mask: a vertex of degree n - 1 puts every pair
+    within distance 2, so it answers no; and a vertex of least degree delta has
+    at most 1 + delta * Delta vertices within distance 2, so 1 + delta * Delta
+    < n answers yes. Otherwise each vertex x ORs into its closed neighbourhood
+    N[x] the masks of its neighbours, ascending, and stops as soon as the union
+    holds every vertex; a row that runs out of neighbours first answers yes. A
+    graph with at most ``_SMALL_EDGES`` edges, or whose n x n bools fit one
+    block, reads ``g._masks``. A larger one reads them from
+    :class:`_MaskBlocks`, which cuts a block of rows only when a row first
+    reads one of its masks and keeps none on the graph, so a graph with a far
+    pair near the start builds few of them. With no far pair every block gets
+    built: n^2/8 bytes of masks, as kappa's take.
+
     :func:`~mclab.coloring.exactness_certificate` reaches this test only when
-    2m >= (n - Delta)(n - 3) + 3(n - 1), so the masks outgrow the 16m bytes of
-    the edge array only when Delta exceeds about n - n/64.
+    2m >= (n - Delta)(n - 3) + 3(n - 1). That needs Delta > n/2, so there the
+    second bound fires only when delta = 1, and the masks outgrow the 16m
+    bytes of the edge array only when Delta exceeds about n - n/64.
     """
-    n = g.n
-    if max_degree(g) == n - 1:
+    n, top = g.n, max_degree(g)
+    if top == n - 1:
         return False
-    masks = g._masks if n * n <= _BLOCK_BYTES else _MaskBlocks(g)
+    if 1 + min_degree(g) * top < n:
+        return True
+    masks = g._masks if g.m <= _SMALL_EDGES or n * n <= _BLOCK_BYTES else _MaskBlocks(g)
     full = (1 << n) - 1
     for x in range(n):
         rest = masks[x]
@@ -435,16 +461,17 @@ def _has_far_pair(g: Graph) -> bool:
 
 class _MaskBlocks(dict):
     """The neighbour masks of a graph by vertex, each block of rows of about
-    ``_BLOCK_BYTES`` of bool built by :func:`_neighbour_masks` when one of its
-    masks is first read."""
+    ``_BLOCK_BYTES`` of bool cut by :func:`_mask_rows` when one of its masks is
+    first read."""
 
     def __init__(self, g: Graph):
         super().__init__()
-        self.g, self.rows = g, max(1, _BLOCK_BYTES // g.n)
+        self.adj, self.rows = g._adjacency, max(1, _BLOCK_BYTES // g.n)
 
     def __missing__(self, v: int) -> int:
         lo = v - v % self.rows
-        self.update(enumerate(_neighbour_masks(self.g, lo, min(lo + self.rows, self.g.n)), lo))
+        hi = min(lo + self.rows, self.adj.shape[0])
+        self.update(enumerate(_mask_rows(self.adj, lo, hi), lo))
         return self[v]
 
 
@@ -687,7 +714,7 @@ def _connectivity(g: Graph, cap: int, stop: int) -> int:
     cap = min(cap, min_degree(g))
     if cap <= stop:
         return cap
-    return _least_pair_connectivity(_full_masks(g), int(g.degrees.argmin()), cap, stop)
+    return _least_pair_connectivity(g._masks, int(g.degrees.argmin()), cap, stop)
 
 
 def vertex_connectivity(g: Graph) -> int:
@@ -733,7 +760,7 @@ def chromatic_number(g: Graph, cap: int = DEFAULT_CHI_CAP) -> int:
     n = g.n
     if n > cap:
         raise CapExceededError(f"graph too large for exact chromatic number (n={n} > cap={cap})")
-    masks = _full_masks(g)
+    masks = g._masks
     order = (-g.degrees).argsort(kind="stable").tolist()
     clique = 0
     for v in order:

@@ -2,7 +2,6 @@
 
 import itertools
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -44,11 +43,12 @@ from mclab.graphs import (
     Graph,
     _has_far_pair,
     complete_graph,
-    component_labels,
     cycle_graph,
     diameter,
     has_cut_vertex,
     is_triangle_free,
+    max_degree,
+    min_degree,
     path_graph,
     petersen_graph,
     spanning_tree,
@@ -617,10 +617,18 @@ def test_array_checks_on_large_sparse_graph_stay_within_block_memory():
     distinct = EdgeColoring(bipartite, range(bipartite.m))
     # with every edge its own class, the covered pairs are exactly the edges
     first_gap = next(v for v in range(1, n) if (0, v) not in bipartite.edge_set)
+    # hub 0 joined to 2..n-1, vertex 1 to 2 and 3, the square of the path on
+    # 2..n-1: it fails (b) and (c), and delta = 2 leaves the degree bound of
+    # (d) silent, so the far-pair test reads masks, block by block, to (1, 6)
+    hub = Graph.from_pairs(n, [(0, v) for v in range(2, n)] + [(1, 2), (1, 3)]
+                           + [(v, v + d) for d in (1, 2) for v in range(2, n - d)])
+    assert 1 + min_degree(hub) * max_degree(hub) >= n
     checks = [
         (is_triangle_free, (bipartite,), True),
         (is_triangle_free, (closed,), False),
         (_has_far_pair, (bipartite,), True),
+        (_has_far_pair, (hub,), True),
+        (exactness_certificate, (hub,), EXACT_D),
         (first_uncovered_pair, (bipartite, tree_coloring), None),
         (first_uncovered_pair, (bipartite, distinct), (0, first_gap)),
     ]
@@ -699,28 +707,14 @@ def test_exact_mc_closed_forms():
             assert oracles.oracle_mc(n, edges) == expected
 
 
-def counting_component_labels(monkeypatch):
-    """Route every component labelling through a counter keyed by the edge arrays."""
-    calls = Counter()
-
-    def counted(n, heads, tails):
-        calls[n, heads.tobytes(), tails.tobytes()] += 1
-        return component_labels(n, heads, tails)
-
-    monkeypatch.setattr(mclab.graphs, "component_labels", counted)
-    monkeypatch.setattr(mclab.coloring, "component_labels", counted)
-    return calls
-
-
-def test_exact_mc_within_cap_labels_no_components(monkeypatch):
-    calls = counting_component_labels(monkeypatch)
+def test_exact_mc_within_cap_labels_no_components(labellings):
     assert exact_mc_small(Graph(1)) == 0
     for n in range(2, 5):
         for edges in oracles.all_edge_subsets(n):
             assert exact_mc_small(Graph(n, edges)) == oracles.oracle_mc(n, edges)
     for edges in ([], [(0, 1), (2, 3), (3, 4)], [(0, 1), (0, 2), (1, 2), (3, 4)]):
         assert exact_mc_small(Graph(5, edges)) == 0 == oracles.oracle_mc(5, edges)
-    assert not calls
+    assert not labellings
     # beyond the cap a disconnected graph still returns 0; at m = 10, and on
     # the dense 2 K_12, the bitmask walk decides it; on the sparse 2 C_40,
     # past _SMALL_EDGES and below the walk's density, one labelling does
@@ -731,12 +725,12 @@ def test_exact_mc_within_cap_labels_no_components(monkeypatch):
     two_k12 = Graph(24, k12 + tuple((u + 12, v + 12) for u, v in k12))
     assert two_k12.m == 132 > _SMALL_EDGES and 24 * 24 <= _WALK_DENSITY * 132
     assert exact_mc_small(two_k12) == 0
-    assert not calls
+    assert not labellings
     c40 = cycle_graph(40).edges
     two_c40 = Graph(80, c40 + tuple((u + 40, v + 40) for u, v in c40))
     assert two_c40.m == 80 > _SMALL_EDGES and 80 * 80 > _WALK_DENSITY * 80
     assert exact_mc_small(two_c40) == 0
-    assert sum(calls.values()) == 1
+    assert sum(labellings.values()) == 1
 
 
 def test_exact_mc_runs_no_search_at_min_degree_one(monkeypatch):
@@ -800,7 +794,7 @@ def test_star_cover_coloring_reaches_mc_on_k_n_minus_a_perfect_matching():
     for n in (4, 6, 8):
         g = Graph(n, [e for e in complete_graph(n).edges if e[0] % 2 or e[1] != e[0] + 1])
         coloring, cost = star_cover_coloring(g)
-        assert cost == n // 2 == mclab.coloring._star_cover_cost(mclab.graphs._full_masks(g))
+        assert cost == n // 2 == mclab.coloring._star_cover_cost(g._masks)
         assert verify_mc_coloring(g, coloring)
         assert coloring.num_colors == g.m - n // 2 == mc_upper_bound(g)[0]
         if n < 8:
@@ -819,7 +813,7 @@ def test_star_cover_cost_matches_its_coloring_up_to_n5():
     for n in range(2, 6):
         for edges in connected_edge_subsets(n):
             g = Graph(n, edges)
-            cost = mclab.coloring._star_cover_cost(mclab.graphs._full_masks(g))
+            cost = mclab.coloring._star_cover_cost(g._masks)
             parts = len(oracles.brute_components(n, oracles.brute_complement(n, edges)))
             star = star_cover_coloring(g)
             # one component of the complement has no vertex outside it
@@ -949,8 +943,7 @@ def test_analyze_pins_every_exit(g, caps, expected):
     assert analyze(g, **caps) == expected
 
 
-def test_analyze_labels_each_graph_once(monkeypatch):
-    calls = counting_component_labels(monkeypatch)
+def test_analyze_labels_each_graph_once(labellings):
     graphs = [
         petersen_graph(),
         two_cliques_sharing_a_vertex(4),
@@ -967,21 +960,20 @@ def test_analyze_labels_each_graph_once(monkeypatch):
         g, stream = sample_connected(int(rng.integers(4, 9)), 0.6, stream, master=4455)
         graphs.append(g)
     for g in graphs:
-        calls.clear()
+        labellings.clear()
         b = analyze(g)
         arr = g.edge_array
         # small and dense graphs walk their masks (see Graph._connected)
         labelled = 1 if g.m > _SMALL_EDGES and g.n * g.n > _WALK_DENSITY * g.m else 0
-        assert calls[g.n, arr[:, 0].tobytes(), arr[:, 1].tobytes()] == labelled
-        assert set(calls.values()) <= {1}  # G - v, for (e), is another graph
+        assert labellings[g.n, arr[:, 0].tobytes(), arr[:, 1].tobytes()] == labelled
+        assert set(labellings.values()) <= {1}  # G - v, for (e), is another graph
         if g.m <= 9:
             assert b.exact == oracles.oracle_mc(g.n, list(g.edges))
-    calls.clear()
-    assert analyze(Graph(4, [(0, 1), (2, 3)])).exact == 0 and not calls
+    labellings.clear()
+    assert analyze(Graph(4, [(0, 1), (2, 3)])).exact == 0 and not labellings
 
 
-def test_analyze_on_dense_graphs_builds_no_csr_and_labels_nothing(monkeypatch):
-    calls = counting_component_labels(monkeypatch)
+def test_analyze_on_dense_graphs_builds_no_csr_and_labels_nothing(labellings):
     # the benchmark corpus's G(600, 0.5) and G(64, 0.3), with their pinned brackets
     cases = (
         (600, 0.5, 11, McBounds(89213, 89476, None, (TREE_LOWER, MIN_DEGREE_UPPER))),
@@ -991,7 +983,7 @@ def test_analyze_on_dense_graphs_builds_no_csr_and_labels_nothing(monkeypatch):
     for n, p, seed, expected in cases:
         g = sample_gnp(n, p, RngSeed(seed))
         assert analyze(g) == expected
-        assert not calls and "_adjacency" not in g.__dict__, g
+        assert not labellings and "_adjacency" not in g.__dict__, g
         assert "_masks" in g.__dict__
 
 

@@ -215,20 +215,7 @@ def joined_blocks(rng, n, blocks, m):
     return Graph.from_pairs(n, [(relabel[u], relabel[v]) for u, v in pairs])
 
 
-def counting_labels(monkeypatch):
-    """Route graphs.component_labels through a list of the vertex counts it labels."""
-    calls = []
-
-    def counted(n, heads, tails):
-        calls.append(n)
-        return component_labels(n, heads, tails)
-
-    monkeypatch.setattr(graphs, "component_labels", counted)
-    return calls
-
-
-def test_is_connected_both_sides_of_small_edge_bound(monkeypatch):
-    calls = counting_labels(monkeypatch)
+def test_is_connected_both_sides_of_small_edge_bound(labellings):
     rng = np.random.default_rng(6465)
     # n = 30 keeps m = 65 below the walk's density, so only the edge bound moves
     n = 30
@@ -244,15 +231,14 @@ def test_is_connected_both_sides_of_small_edge_bound(monkeypatch):
             assert g.m == m and g.n == n
             if len(blocks[0]) == n - 1:
                 assert g.degrees[n - 1] == 0
-            calls.clear()
+            labellings.clear()
             assert is_connected(g) is connected == oracles.brute_connected(n, g.edges)
-            assert len(calls) == (0 if m <= graphs._SMALL_EDGES else 1)
-    calls.clear()
-    assert is_connected(Graph(1)) and not calls
+            assert sum(labellings.values()) == (0 if m <= graphs._SMALL_EDGES else 1)
+    labellings.clear()
+    assert is_connected(Graph(1)) and not labellings
 
 
-def test_is_connected_both_sides_of_walk_density(block_bytes, monkeypatch):
-    calls = counting_labels(monkeypatch)
+def test_is_connected_both_sides_of_walk_density(block_bytes, labellings):
     rng = np.random.default_rng(1024)
     for n in (40, 150, 301):
         # the fewest edges the walk takes, and one fewer
@@ -267,9 +253,9 @@ def test_is_connected_both_sides_of_walk_density(block_bytes, monkeypatch):
             assert walks == (m == least and graphs._BLOCK_BYTES >= n * n)
             for blocks, connected in cases:
                 g = joined_blocks(rng, n, blocks, m)
-                calls.clear()
+                labellings.clear()
                 assert is_connected(g) is connected == oracles.brute_connected(n, g.edges)
-                assert len(calls) == (0 if walks else 1), (n, m)
+                assert sum(labellings.values()) == (0 if walks else 1), (n, m)
                 assert ("_masks" in g.__dict__) == walks
 
 
@@ -311,7 +297,7 @@ def test_adjacency_rows_are_sorted_neighbour_lists_up_to_n5():
 
 def separating_pairs(g):
     """The pair generator of g's vertex-connectivity search, from v of minimum degree."""
-    return graphs._separating_pairs(graphs._neighbour_masks(g, 0, g.n), int(np.argmin(g.degrees)))
+    return graphs._separating_pairs(graphs._neighbour_masks(g), int(np.argmin(g.degrees)))
 
 
 # ------------------------------------------------ memo and row pointer
@@ -366,7 +352,7 @@ def test_memoised_fields_agree_across_threads_on_a_fresh_graph():
             assert len(seen) == 8
             for degrees, masks, connected, edges in seen:
                 assert np.array_equal(degrees, base.degrees) and not degrees.flags.writeable
-                assert masks == graphs._neighbour_masks(base, 0, base.n)
+                assert masks == graphs._neighbour_masks(base)
                 assert connected is True and edges == base.edges
     finally:
         sys.setswitchinterval(interval)
@@ -477,18 +463,13 @@ def test_neighbour_masks_are_the_edge_set_bits(block_bytes):
         for u, v in g.edge_set:
             expected[u] |= 1 << v
             expected[v] |= 1 << u
-        # past the bound, one block scattered from the edge array, cached on
-        # the graph, when n x n bools fit one, the CSR's row blocks otherwise
+        # past the bound, one block scattered from the edge array when n x n
+        # bools fit one, the CSR's row blocks otherwise; cached on the graph
         one_block = g.n * g.n <= graphs._BLOCK_BYTES
-        assert graphs._full_masks(g) == expected, g
-        assert ("_masks" in g.__dict__) == one_block
+        masks = g._masks
+        assert masks == expected and g._masks is masks, g
         assert ("_adjacency" in g.__dict__) == (g.m > graphs._SMALL_EDGES and not one_block)
-        if one_block:
-            assert graphs._full_masks(g) is g._masks
-        assert graphs._neighbour_masks(g, 0, g.n) == expected, g
-        start = int(rng.integers(0, g.n))
-        stop = int(rng.integers(start, g.n + 1))
-        assert graphs._neighbour_masks(g, start, stop) == expected[start:stop], (g, start, stop)
+        assert graphs._neighbour_masks(g) == expected, g
 
 
 def test_far_pair_matches_diameter_on_graphs_up_to_n400(block_bytes):
@@ -507,12 +488,45 @@ def test_far_pair_matches_diameter_on_graphs_up_to_n400(block_bytes):
     assert outcomes == {True, False}
 
 
+def test_far_pair_degree_bound_needs_no_masks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("1 + delta * Delta < n needs no masks")
+
+    monkeypatch.setattr(graphs, "_neighbour_masks", refuse)
+    # C_6: 1 + delta * Delta = 5 < 6, so a vertex has one beyond distance 2
+    assert _has_far_pair(cycle_graph(6))
+    sparse = sample_gnp(20_000, 0.001, RngSeed(20_000))
+    assert 1 + min_degree(sparse) * max_degree(sparse) < sparse.n
+    assert _has_far_pair(sparse)
+    assert "_masks" not in sparse.__dict__ and "_adjacency" not in sparse.__dict__
+
+
+def test_far_pair_reads_the_masks_where_the_degree_bound_is_silent():
+    # C_5: 1 + delta * Delta = 5 = n, and every pair lies within distance 2
+    c5 = cycle_graph(5)
+    assert not _has_far_pair(c5) and "_masks" in c5.__dict__
+    # two K_5 joined by one edge: 1 + 4 * 5 >= 10, yet their far ends lie 3 apart
+    k5 = complete_graph(5).edges
+    g = Graph.from_pairs(10, [*k5, *((u + 5, v + 5) for u, v in k5), (0, 5)])
+    assert 1 + min_degree(g) * max_degree(g) >= g.n
+    assert _has_far_pair(g) is (oracles.brute_diameter(10, list(g.edges)) >= 3) is True
+    assert "_masks" in g.__dict__
+
+
 def test_far_pair_hub_shortcut(block_bytes, monkeypatch):
     n = 300
     leaves = [(0, v) for v in range(1, n)]
     missed = Graph(n, leaves[:-1] + [(1, n - 1)])  # hub 0 misses n-1, which is 3 from 2
     assert _has_far_pair(missed)
     assert diameter(missed) == 3
+    # delta = 2 leaves the degree bound silent: the masks, cut block by block
+    # past one block and kept on the graph only within one, find 1 and 6 apart
+    ladder = Graph.from_pairs(n, leaves[1:] + [(1, 2), (1, 3)]
+                              + [(v, v + d) for d in (1, 2) for v in range(2, n - d)])
+    assert 1 + min_degree(ladder) * max_degree(ladder) >= n
+    assert _has_far_pair(ladder)
+    assert diameter(ladder) == 3
+    assert ("_masks" in ladder.__dict__) == (n * n <= graphs._BLOCK_BYTES)
 
     def refuse(*args):
         raise AssertionError("a vertex of degree n - 1 needs no masks")
@@ -880,9 +894,9 @@ def test_mask_readers_share_one_cached_list_while_masks_fit_one_block(monkeypatc
     builds = []
     real = graphs._neighbour_masks
 
-    def counted(g, start, stop):
-        builds.append((g.n, start, stop))
-        return real(g, start, stop)
+    def counted(g):
+        builds.append(g.n)
+        return real(g)
 
     monkeypatch.setattr(graphs, "_neighbour_masks", counted)
     dense = sample_gnp(16, 0.7, RngSeed(16))
@@ -891,8 +905,29 @@ def test_mask_readers_share_one_cached_list_while_masks_fit_one_block(monkeypatc
         builds.clear()
         for query in (is_connected, chromatic_number, vertex_connectivity, _has_far_pair):
             query(g)
-        assert builds == [(g.n, 0, g.n)]
+        assert builds == [g.n]
         assert "_adjacency" not in g.__dict__
+
+
+def test_masks_past_one_block_are_built_once(monkeypatch):
+    builds = []
+    real = graphs._neighbour_masks
+
+    def counted(g, *args):
+        builds.append(g.n)
+        return real(g, *args)
+
+    monkeypatch.setattr(graphs, "_neighbour_masks", counted)
+    # 64-byte blocks: the edge loop builds Petersen's masks, the CSR's row
+    # blocks those of the dense graph
+    monkeypatch.setattr(graphs, "_BLOCK_BYTES", 64)
+    dense = sample_gnp(16, 0.7, RngSeed(16))
+    for g in (petersen_graph(), dense):
+        assert g.n * g.n > graphs._BLOCK_BYTES
+        kappa = oracles.brute_vertex_connectivity(g.n, list(g.edges))
+        builds.clear()
+        assert vertex_connectivity(g) == vertex_connectivity(g) == kappa
+        assert builds == [g.n]
 
 
 def connected_non_complete(sizes):

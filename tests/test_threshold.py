@@ -7,7 +7,6 @@ import pytest
 from scipy.stats import binom
 
 import oracles
-import mclab.graphs
 import mclab.sampling
 import mclab.threshold
 from mclab.coloring import analyze, exact_mc_small
@@ -265,29 +264,20 @@ def test_run_trial_examples():
         run_trial(16, 0.5, NLOGN1, RngSeed(1), True)
 
 
-def test_decide_labels_components_at_most_once(monkeypatch):
-    # counts the one CSR labelling entry that component_labels and the trial share
-    calls = []
-    labels = mclab.graphs._csr_components
-
-    def counting(*args):
-        calls.append(args)
-        return labels(*args)
-
-    monkeypatch.setattr(mclab.graphs, "_csr_components", counting)
+def test_decide_labels_components_at_most_once(labellings):
     out = decide_mc_at_least(cycle_graph(5), 2)
     assert (out.decision, out.decision_source) == (YES, LOWER_BOUND)
-    assert len(calls) <= 1
+    assert sum(labellings.values()) <= 1
 
-    calls.clear()
+    labellings.clear()
     isolated = Graph(5, complete_graph(4).edges)  # m = 6 >= n - 1, vertex 4 isolated
     out = decide_mc_at_least(isolated, 1)
     assert (out.decision, out.decision_source, out.delta) == (NO, DISCONNECTED, 0)
-    assert calls == []
+    assert not labellings
 
     out = run_trial(200, 0.5, ThresholdSpec.constant(1), RngSeed(3, 0))
     assert (out.decision, out.decision_source) == (YES, LOWER_BOUND)
-    assert len(calls) == 1
+    assert sum(labellings.values()) == 1
 
 
 def test_decide_single_vertex_is_upper_bound_no():
