@@ -13,7 +13,9 @@ takes no lock:
 * ``degrees``;
 * ``_connected``: a walk over the neighbour masks up to ``_SMALL_EDGES`` edges
   and on dense graphs whose n x n bools fit one block of ``_BLOCK_BYTES``,
-  scipy's labelling of the row pointer otherwise;
+  otherwise :func:`_csr_connected` on the row pointer: scipy's labelling of
+  every j-th edge when the mean degree is j >= 2 times ceil(ln n) + 4, and of
+  all edges when that is lower or the sample is not connected;
 * ``_adjacency``, one symmetric CSR adjacency matrix with sorted rows;
 * ``_masks``, its neighbourhoods as Python-int bitmasks, read by the
   connectivity walk, vertex connectivity, certificate (a), the chromatic
@@ -183,12 +185,13 @@ class Graph:
 
     @_memo
     def _connected(self) -> bool:
-        # scipy's labelling costs about 0.1 ms at any size: small and dense graphs walk masks
+        # scipy's labelling costs about 0.1 ms and more with m (all 10^5 edges of
+        # G(2000, 0.05) took 1.3-2.5 ms on 2 cores): small and dense graphs walk masks
         n, m = self.n, self.m
         if m < n - 1:
             return False
         if m > _SMALL_EDGES and n * n > min(_BLOCK_BYTES, _WALK_DENSITY * m):
-            return _csr_components(n, self._indptr, self._array[:, 1])[0] == 1
+            return _csr_connected(n, self._indptr, self._array[:, 1])
         full = (1 << n) - 1
         return _reach(self._masks, 1, full) == full
 
@@ -203,8 +206,9 @@ class Graph:
         """Symmetric float32 CSR adjacency matrix, each row's columns ascending.
 
         Only its structure is read, never its values: by the spanning-tree BFS,
-        ``diameter``, the cut-vertex DFS and the mask builder on graphs past
-        ``_SMALL_EDGES`` edges whose n x n bools take more than one block."""
+        ``diameter``, the cut-vertex DFS, and on graphs past ``_SMALL_EDGES``
+        edges whose n x n bools take more than one block by the mask builder
+        and by :class:`_MaskBlocks`, the far-pair test's reader."""
         arr, n = self._array, self.n
         ones = np.ones(arr.shape[0], dtype=np.float32)
         # the canonical edge array is the upper triangle in CSR order
@@ -244,6 +248,25 @@ def _csr_components(n: int, indptr: np.ndarray, tails: np.ndarray) -> tuple[int,
     return _scipy_components(csr_matrix((ones, tails, indptr), shape=(n, n)), directed=False)
 
 
+def _csr_connected(n: int, indptr: np.ndarray, tails: np.ndarray) -> bool:
+    """Whether the graph of :func:`_csr_components`'s CSR is connected.
+
+    With j = floor(2m / (n (ceil(ln n) + 4))), read from m and n alone, a
+    graph with j >= 2 first labels the spanning subgraph of every j-th edge.
+    Its mean degree is at least ceil(ln n) + 4, so on G(n, p) it is almost
+    always connected when G is (Erdos & Renyi, 1960), and a connected spanning
+    subgraph proves G connected. Edge k*j lies in row u iff indptr[u] <= k*j <
+    indptr[u+1], so the subgraph's CSR is the row pointer divided by j,
+    rounded up, over a strided view of the tails: no sort and no index array.
+    Every other case, a sample that is not connected included, labels all m
+    edges, so the answer is always that of the full labelling.
+    """
+    j = 2 * tails.shape[0] // (n * (math.ceil(math.log(n)) + 4))
+    if j >= 2 and _csr_components(n, -(-indptr // j), tails[::j])[0] == 1:
+        return True
+    return _csr_components(n, indptr, tails)[0] == 1
+
+
 def component_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[int, np.ndarray]:
     """Component count and per-vertex component label of the undirected graph
     on 0..n-1 with edges (heads[i], tails[i]); repeated edges are allowed.
@@ -258,7 +281,8 @@ def component_labels(n: int, heads: np.ndarray, tails: np.ndarray) -> tuple[int,
 
 
 def is_connected(g: Graph) -> bool:
-    """Whether g is connected; labelled once per ``Graph`` and memoised."""
+    """Whether g is connected; settled once per ``Graph`` and memoised (see
+    ``Graph._connected``)."""
     return g._connected
 
 

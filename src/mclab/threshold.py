@@ -207,14 +207,14 @@ def _decide(n: int, indptr: np.ndarray, tails: np.ndarray, f_value: int) -> Tria
     are the row lengths plus the tail counts.
 
     DISCONNECTED, then LOWER_BOUND, then UPPER_BOUND, else UNKNOWN.
-    Components are labelled at most once, and not at all when a vertex is
-    isolated or m < n - 1.
+    Connectivity takes no labelling when a vertex is isolated or m < n - 1;
+    otherwise :func:`graphs._csr_connected` settles it: a dense trial labels
+    every j-th edge, which almost always proves it connected, and labels all
+    m edges only when that sample does not.
     """
     m = len(tails)
     delta = int((np.diff(indptr) + np.bincount(tails, minlength=n)).min())
-    if n > 1 and (
-        delta == 0 or m < n - 1 or graphs._csr_components(n, indptr, tails)[0] != 1
-    ):
+    if n > 1 and (delta == 0 or m < n - 1 or not graphs._csr_connected(n, indptr, tails)):
         return TrialOutcome(False, m, delta, NO, DISCONNECTED)
     lower = m - n + 2 if n > 1 else 0  # mc_lower_bound: a single vertex takes 0
     if lower >= f_value:
@@ -231,8 +231,9 @@ def decide_mc_at_least(g: Graph, f_value: int) -> TrialOutcome:
     YES requires the spanning-tree lower bound to reach f; NO requires
     disconnection or the min-degree upper bound to fall short of it; a gap
     between the bounds is UNKNOWN (``analyze`` gives the exact value of one
-    graph). Components are labelled at most once, and not at all when a
-    vertex is isolated or m < n - 1.
+    graph). Connectivity is settled as in :func:`_decide`: with no labelling
+    when a vertex is isolated or m < n - 1, and on dense graphs mostly by a
+    labelling of every j-th edge.
     """
     if f_value < 1:
         raise ValueError("f_value must be at least 1")

@@ -238,8 +238,30 @@ def test_is_connected_both_sides_of_small_edge_bound(labellings):
     assert is_connected(Graph(1)) and not labellings
 
 
+def labelled_edges(key):
+    """The (u, v) edges of a graph as the ``labellings`` fixture keys it."""
+    _, heads, tails = key
+    heads, tails = np.frombuffer(heads, np.int64), np.frombuffer(tails, np.int64)
+    return list(zip(heads.tolist(), tails.tolist()))
+
+
+def stride(n, m):
+    """The j of ``graphs._csr_connected``: from j = 2 on it first labels every
+    j-th edge."""
+    return 2 * m // (n * (math.ceil(math.log(n)) + 4))
+
+
+def csr_connected(g):
+    return graphs._csr_connected(g.n, g._indptr, g.edge_array[:, 1])
+
+
+def full_key(g):
+    return g.n, g.edge_array[:, 0].tobytes(), g.edge_array[:, 1].tobytes()
+
+
 def test_is_connected_both_sides_of_walk_density(block_bytes, labellings):
     rng = np.random.default_rng(1024)
+    proofs = 0
     for n in (40, 150, 301):
         # the fewest edges the walk takes, and one fewer
         least = -(-n * n // graphs._WALK_DENSITY)
@@ -255,8 +277,90 @@ def test_is_connected_both_sides_of_walk_density(block_bytes, labellings):
                 g = joined_blocks(rng, n, blocks, m)
                 labellings.clear()
                 assert is_connected(g) is connected == oracles.brute_connected(n, g.edges)
-                assert sum(labellings.values()) == (0 if walks else 1), (n, m)
+                # past the walk a dense graph may first label a sample of its
+                # edges, which settles it only when connected; else all of
+                # its edges are labelled, once
+                full = labellings.pop(full_key(g), 0)
+                samples = [labelled_edges(key) for key in labellings]
+                assert len(samples) == sum(labellings.values()) <= (0 if walks else 1), (n, m)
+                assert all(set(edges) < g.edge_set for edges in samples)
+                proved = any(oracles.brute_connected(n, edges) for edges in samples)
+                assert full == (0 if walks or proved else 1), (n, m)
+                proofs += proved
                 assert ("_masks" in g.__dict__) == walks
+    assert proofs
+
+
+def test_csr_connected_matches_brute_force_on_both_sides_of_the_gate(labellings):
+    seen = set()
+    for n in (30, 75, 160, 300):
+        wide = math.ceil(math.log(n)) + 4  # j is the mean degree over this, rounded down
+        # near the connectivity threshold, below the gate, just past it, far past it
+        for degree in (math.log(n), wide, 2.2 * wide, 5 * wide):
+            p = min(0.95, degree / (n - 1))
+            for seed in range(3):
+                g = sample_gnp(n, p, RngSeed(n, seed))
+                kept = (g.edge_array != seed).all(axis=1)
+                for h in (g, Graph(n, g.edge_array[kept])):  # and with vertex seed isolated
+                    labellings.clear()
+                    connected = csr_connected(h)
+                    assert connected == oracles.brute_connected(n, h.edges), (n, p, seed)
+                    j = stride(n, h.m)
+                    proved = j >= 2 and oracles.brute_connected(n, h.edge_array[::j].tolist())
+                    assert sum(labellings.values()) == (1 if j < 2 or proved else 2)
+                    assert labellings[full_key(h)] == (0 if proved else 1)
+                    seen.add((j >= 2, proved, connected))
+    # both answers below the gate; past it, proofs and fallbacks to False
+    assert {(False, False, True), (False, False, False), (True, True, True),
+            (True, False, False)} <= seen
+
+
+def two_blocks(rng, n):
+    """Two G(n/2, 1/2) blocks with no edge between them, their vertices
+    shuffled together so that every row of the edge array meets both; and the
+    two blocks' vertex lists."""
+    label = rng.permutation(n).tolist()
+    blocks = (label[: n // 2], label[n // 2 :])
+    pairs = [p for block in blocks for p in itertools.combinations(block, 2) if rng.random() < 0.5]
+    return Graph.from_pairs(n, pairs), blocks
+
+
+def test_csr_connected_falls_back_when_its_sample_is_split(labellings):
+    rng = np.random.default_rng(2031)
+    n = 200
+    g, (left, right) = two_blocks(rng, n)
+    assert stride(n, g.m) >= 2
+    assert not csr_connected(g) and not oracles.brute_connected(n, g.edges)
+    assert sum(labellings.values()) == 2 and labellings[full_key(g)] == 1  # sample, then all
+    # one edge across, at an index of the edge array that the sample skips:
+    # only the full labelling sees it
+    j, keys = stride(n, g.m + 1), g.edge_array[:, 0] * n + g.edge_array[:, 1]
+    for a, b in zip(left, right):
+        u, v = min(a, b), max(a, b)
+        at = int(keys.searchsorted(u * n + v))
+        if at % j:
+            break
+    joined = g.with_edge(u, v)
+    assert joined.edge_array[at].tolist() == [u, v] and at % stride(n, joined.m)
+    labellings.clear()
+    assert csr_connected(joined) and oracles.brute_connected(n, joined.edges)
+    assert sum(labellings.values()) == 2 and labellings[full_key(joined)] == 1
+
+
+def test_csr_connected_samples_every_jth_edge_in_row_order(labellings):
+    for n, p, seed in ((60, 0.9, 1), (150, 0.4, 2), (300, 0.3, 3)):
+        g = sample_gnp(n, p, RngSeed(seed))
+        arr, indptr, j = g.edge_array, g._indptr, stride(n, g.m)
+        assert j >= 2
+        labellings.clear()
+        assert csr_connected(g)
+        ((size, heads, tails), count), = labellings.items()  # the sample proved it
+        heads, tails = np.frombuffer(heads, np.int64), np.frombuffer(tails, np.int64)
+        assert (size, count) == (n, 1)
+        assert np.array_equal(heads, arr[::j, 0]) and np.array_equal(tails, arr[::j, 1])
+        for u in range(n):
+            row = iter(arr[indptr[u] : indptr[u + 1], 1].tolist())
+            assert all(v in row for v in tails[heads == u].tolist()), u  # a sub-list
 
 
 def test_is_connected_on_a_long_path_builds_no_masks(monkeypatch):

@@ -1,6 +1,7 @@
 """Threshold formulas, tail bounds, the trial decision procedure, and sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import mclab.sampling
 import mclab.threshold
 from mclab.coloring import analyze, exact_mc_small
 from mclab.graphs import MAX_VERTICES, Graph, complete_graph, cycle_graph, star_graph
-from mclab.sampling import RngSeed, sample_gnp
+from mclab.sampling import RngSeed, _decode_rows, _draw, sample_gnp
 from mclab.threshold import (
     DENSE,
     DISCONNECTED,
@@ -275,9 +276,31 @@ def test_decide_labels_components_at_most_once(labellings):
     assert (out.decision, out.decision_source, out.delta) == (NO, DISCONNECTED, 0)
     assert not labellings
 
+    # a dense trial: its one labelling is of every j-th edge (see
+    # graphs._csr_connected), ceil(m / j) of them, which proves it connected
     out = run_trial(200, 0.5, ThresholdSpec.constant(1), RngSeed(3, 0))
     assert (out.decision, out.decision_source) == (YES, LOWER_BOUND)
-    assert sum(labellings.values()) == 1
+    j = 2 * out.m // (200 * (math.ceil(math.log(200)) + 4))
+    ((n, _, tails), count), = labellings.items()
+    assert j >= 2 and (n, count) == (200, 1)
+    assert len(tails) // 8 == -(-out.m // j) < out.m
+
+
+def test_decide_on_a_dense_trial_stays_small_in_memory():
+    # f = n^1.5 at its crossing: m is about 2.86 million, and labelling the
+    # sample of every 20th edge takes a few MB, where labelling all m edges
+    # takes about three times the bytes of the tails
+    n, spec = 20_000, ThresholdSpec.power(1.5)
+    f_value = math.ceil(spec.f_value(n))
+    indptr, tails = _decode_rows(_draw(n, 1.991 * threshold_p(spec, n), trial_seed(11, 0, 0)), n)
+    tracemalloc.start()
+    try:
+        out = mclab.threshold._decide(n, indptr, tails, f_value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.connected and out.m == len(tails) > 2_800_000
+    assert peak < tails.nbytes // 4, f"peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_decide_single_vertex_is_upper_bound_no():
