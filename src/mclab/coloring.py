@@ -423,7 +423,7 @@ def _tree_cover_search(edges: Sequence[EdgePair], n: int, best: int, floor: int)
     return best
 
 
-def _star_cover_cost(masks: list[int]) -> int:
+def _star_cover_cost(masks: Sequence[int]) -> int:
     """n - max(k, 2), where k counts the components of the complement of the
     graph with neighbour masks ``masks``: the cost of the star cover when
     k >= 3, of a spanning tree otherwise (see :func:`exact_mc_small`)."""

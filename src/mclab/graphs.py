@@ -19,19 +19,20 @@ takes no lock:
 * ``_adjacency``, one symmetric CSR adjacency matrix with sorted rows;
 * ``_masks``, its neighbourhoods as Python-int bitmasks, read by the
   connectivity walk, vertex connectivity, certificate (a), the chromatic
-  number, the exact search and, up to one block, the far-pair test of
-  certificate (d). :func:`_neighbour_masks` builds them by a loop over the
-  edges up to ``_SMALL_EDGES`` edges, by one block scattered from the edge
-  array when n x n bools fit it, and by CSR row blocks above.
+  number, the exact search and the far-pair test of certificate (d).
+  :func:`_neighbour_masks` builds them by a loop over the edges up to
+  ``_SMALL_EDGES`` edges, and by one block scattered from the edge array when
+  n x n bools fit it; above, they are a :class:`_MaskBlocks`, which cuts each
+  block of CSR rows on its first read and keeps it.
 
 Vertex connectivity reads nothing but the masks: its pairs' short paths, and
 the augmenting searches that grow them, run on them, as certificate (a) does
 on the complemented masks. The far-pair test reads masks only when the degrees
-leave it open; past one block it cuts row blocks as its rows first read them
-and keeps none, so a far pair near the start builds few. The triangle test
-reads none of it but the degrees: it first looks for a triangle through vertex
-0 in the rows of its neighbours, and only when none exists orients the edge
-array into a CSR of its own.
+leave it open; past one block its rows cut only the blocks they read, so a far
+pair near the start builds few. The triangle test reads none of it but the
+degrees: it first looks for a triangle through vertex 0 in the rows of its
+neighbours, and only when none exists orients the edge array into a CSR of its
+own.
 """
 
 from __future__ import annotations
@@ -196,9 +197,11 @@ class Graph:
         return _reach(self._masks, 1, full) == full
 
     @_memo
-    def _masks(self) -> list[int]:
-        """Every vertex's neighbour mask (see :func:`_neighbour_masks`): n^2/8
-        bytes of bits, kept for the life of the graph like its other fields."""
+    def _masks(self) -> Sequence[int]:
+        """Every vertex's neighbour mask (see :func:`_neighbour_masks`), kept
+        for the life of the graph like its other fields: a list of all n^2/8
+        bytes of bits up to one block, past it a :class:`_MaskBlocks` that
+        keeps the blocks its readers have cut."""
         return _neighbour_masks(self)
 
     @_memo
@@ -207,8 +210,8 @@ class Graph:
 
         Only its structure is read, never its values: by the spanning-tree BFS,
         ``diameter``, the cut-vertex DFS, and on graphs past ``_SMALL_EDGES``
-        edges whose n x n bools take more than one block by the mask builder
-        and by :class:`_MaskBlocks`, the far-pair test's reader."""
+        edges whose n x n bools take more than one block by
+        :class:`_MaskBlocks`, which cuts their masks from it."""
         arr, n = self._array, self.n
         ones = np.ones(arr.shape[0], dtype=np.float32)
         # the canonical edge array is the upper triangle in CSR order
@@ -329,64 +332,58 @@ def diameter(g: Graph) -> int | float:
     return far
 
 
-def articulation_points(g: Graph) -> tuple[int, ...]:
-    """Vertices whose removal increases the component count (iterative DFS)."""
-    n = g.n
+def has_cut_vertex(g: Graph) -> bool:
+    """True iff removing some single vertex disconnects its component.
+
+    An iterative depth-first search over the CSR's rows (Hopcroft & Tarjan,
+    1973) returns at the first cut vertex it proves: a vertex other than a
+    root whose child's subtree reaches nothing above it, or a root whose
+    second child's subtree finishes.
+    """
     flat, ends = g._adjacency.indices.tolist(), g._adjacency.indptr.tolist()
     adj = [flat[start:end] for start, end in zip(ends, ends[1:])]
-    disc = [-1] * n
-    low = [0] * n
-    is_ap = [False] * n
+    disc, low = [-1] * g.n, [0] * g.n
     timer = 0
-    for root in range(n):
+    for root in range(g.n):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        root_children = 0
+        split = False  # set when the root's first child finishes
         stack = [(root, -1, iter(adj[root]))]
         while stack:
-            u, parent, it = stack[-1]
-            pushed = False
-            for v in it:
+            u, parent, rest = stack[-1]
+            for v in rest:
                 if disc[v] == -1:
                     disc[v] = low[v] = timer
                     timer += 1
-                    if u == root:
-                        root_children += 1
                     stack.append((v, u, iter(adj[v])))
-                    pushed = True
                     break
                 if v != parent and disc[v] < low[u]:
                     low[u] = disc[v]
-            if not pushed:
+            else:
                 stack.pop()
-                if stack:
-                    pu = stack[-1][0]
-                    if low[u] < low[pu]:
-                        low[pu] = low[u]
-                    if pu != root and low[u] >= disc[pu]:
-                        is_ap[pu] = True
-        if root_children > 1:
-            is_ap[root] = True
-    return tuple(v for v in range(n) if is_ap[v])
+                if parent == -1:
+                    continue
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+                if low[u] >= disc[parent]:  # always so for the root's children
+                    if parent != root or split:
+                        return True
+                    split = True
+    return False
 
 
-def has_cut_vertex(g: Graph) -> bool:
-    """True iff removing some single vertex disconnects its component."""
-    return bool(articulation_points(g))
-
-
-def _neighbour_masks(g: Graph) -> list[int]:
+def _neighbour_masks(g: Graph) -> Sequence[int]:
     """Every vertex's neighbour bitmask: bit u of the int for v is set iff u ~ v.
 
     Up to ``_SMALL_EDGES`` edges, where the block scatter costs as much or
     more, one loop over the edges sets the bits. Above, a graph whose n x n
     bools fit one block of ``_BLOCK_BYTES`` scatters both orientations of its
-    edge array into that block and packs it to bytes, with no CSR. Larger
-    graphs cut rows from the CSR a block of about ``_BLOCK_BYTES`` of bool at a
-    time (:func:`_mask_rows`), so besides the masks the build holds one block,
-    whatever n.
+    edge array into that block and packs it to bytes, with no CSR. A larger
+    graph gets a :class:`_MaskBlocks`, which cuts each block of rows from the
+    CSR when one of its masks is first read, so a reader builds only the
+    blocks it reads and holds one block of bool at a time, whatever n.
     """
     n = g.n
     if g.m <= _SMALL_EDGES:
@@ -394,27 +391,47 @@ def _neighbour_masks(g: Graph) -> list[int]:
         for u, v in g._array.tolist():
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-    elif n * n <= _BLOCK_BYTES:
+        return masks
+    if n * n <= _BLOCK_BYTES:
         heads, tails = g._array.T
         block = np.zeros(n * n, dtype=bool)
         block[heads * n + tails] = True
         block[tails * n + heads] = True
-        masks = _packed_rows(block.reshape(n, n))
-    else:
-        adj, rows = g._adjacency, max(1, _BLOCK_BYTES // n)
-        masks = []
-        for lo in range(0, n, rows):
-            masks += _mask_rows(adj, lo, min(lo + rows, n))
-    return masks
+        return _packed_rows(block.reshape(n, n))
+    return _MaskBlocks(g)
 
 
-def _mask_rows(adj: csr_matrix, lo: int, hi: int) -> list[int]:
-    """The neighbour masks of vertices lo..hi-1, cut from the CSR adjacency
-    as one (hi - lo) x n block of bool."""
-    ends = adj.indptr[lo : hi + 1]
-    block = np.zeros((hi - lo, adj.shape[1]), dtype=bool)
-    block[np.repeat(np.arange(hi - lo), np.diff(ends)), adj.indices[ends[0] : ends[-1]]] = True
-    return _packed_rows(block)
+class _MaskBlocks(dict):
+    """The neighbour masks of a graph past one block, read as the sequence of
+    them in vertex order: ``len`` is n, iteration yields every mask in vertex
+    order, and ``[v]`` cuts v's block of rows, about ``_BLOCK_BYTES`` of bool,
+    from the CSR adjacency on the block's first read.
+
+    Hits take dict's own lookup. The store keeps every block its readers cut
+    for the life of the graph: a far-pair scan that stops near the start
+    leaves a block or a few, a reader of every row all n^2/8 bytes, as kappa's
+    does. Threads racing on a first read may each cut the same block; its
+    masks are pure, so the later write stores equal ints.
+    """
+
+    def __init__(self, g: Graph):
+        super().__init__()
+        self.n, self.adj, self.rows = g.n, g._adjacency, max(1, _BLOCK_BYTES // g.n)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self) -> Iterator[int]:
+        return map(self.__getitem__, range(self.n))
+
+    def __missing__(self, v: int) -> int:
+        lo = v - v % self.rows
+        ends = self.adj.indptr[lo : lo + self.rows + 1]
+        rows = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
+        block = np.zeros((len(ends) - 1, self.n), dtype=bool)
+        block[rows, self.adj.indices[ends[0] : ends[-1]]] = True
+        self.update(enumerate(_packed_rows(block), lo))
+        return self[v]
 
 
 def _packed_rows(block: np.ndarray) -> list[int]:
@@ -424,7 +441,7 @@ def _packed_rows(block: np.ndarray) -> list[int]:
     return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
 
 
-def _reach(masks: list[int], seed: int, full: int) -> int:
+def _reach(masks: Sequence[int], seed: int, full: int) -> int:
     """The bitmask of the vertices joined to those of ``seed`` by a walk in the
     graph with neighbour masks ``masks``; it stops early once it holds ``full``."""
     reached = todo = seed
@@ -436,7 +453,7 @@ def _reach(masks: list[int], seed: int, full: int) -> int:
     return reached
 
 
-def _complement(masks: list[int]) -> list[int]:
+def _complement(masks: Sequence[int]) -> list[int]:
     """The neighbour masks of the complement of the graph with ``masks``."""
     full = (1 << len(masks)) - 1
     return [full ^ mask ^ 1 << v for v, mask in enumerate(masks)]
@@ -451,13 +468,12 @@ def _has_far_pair(g: Graph) -> bool:
     at most 1 + delta * Delta vertices within distance 2, so 1 + delta * Delta
     < n answers yes. Otherwise each vertex x ORs into its closed neighbourhood
     N[x] the masks of its neighbours, ascending, and stops as soon as the union
-    holds every vertex; a row that runs out of neighbours first answers yes. A
-    graph with at most ``_SMALL_EDGES`` edges, or whose n x n bools fit one
-    block, reads ``g._masks``. A larger one reads them from
-    :class:`_MaskBlocks`, which cuts a block of rows only when a row first
-    reads one of its masks and keeps none on the graph, so a graph with a far
-    pair near the start builds few of them. With no far pair every block gets
-    built: n^2/8 bytes of masks, as kappa's take.
+    holds every vertex; a row that runs out of neighbours first answers yes.
+    It reads ``g._masks``; past one block that store cuts a block of rows only
+    when a row first reads one of its masks, so a graph with a far pair near
+    the start builds few of them. With no far pair every block gets built:
+    n^2/8 bytes of masks, as kappa's take, kept on the graph for the next
+    reader.
 
     :func:`~mclab.coloring.exactness_certificate` reaches this test only when
     2m >= (n - Delta)(n - 3) + 3(n - 1). That needs Delta > n/2, so there the
@@ -469,8 +485,7 @@ def _has_far_pair(g: Graph) -> bool:
         return False
     if 1 + min_degree(g) * top < n:
         return True
-    masks = g._masks if g.m <= _SMALL_EDGES or n * n <= _BLOCK_BYTES else _MaskBlocks(g)
-    full = (1 << n) - 1
+    masks, full = g._masks, (1 << n) - 1
     for x in range(n):
         rest = masks[x]
         reach = rest | (1 << x)
@@ -481,22 +496,6 @@ def _has_far_pair(g: Graph) -> bool:
             reach |= masks[low.bit_length() - 1]
             rest ^= low
     return False
-
-
-class _MaskBlocks(dict):
-    """The neighbour masks of a graph by vertex, each block of rows of about
-    ``_BLOCK_BYTES`` of bool cut by :func:`_mask_rows` when one of its masks is
-    first read."""
-
-    def __init__(self, g: Graph):
-        super().__init__()
-        self.adj, self.rows = g._adjacency, max(1, _BLOCK_BYTES // g.n)
-
-    def __missing__(self, v: int) -> int:
-        lo = v - v % self.rows
-        hi = min(lo + self.rows, self.adj.shape[0])
-        self.update(enumerate(_mask_rows(self.adj, lo, hi), lo))
-        return self[v]
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -564,7 +563,7 @@ def complement(g: Graph) -> Graph:
     return Graph(n, np.argwhere(absent))
 
 
-def _separating_pairs(masks: list[int], v: int) -> Iterator[tuple[int, int]]:
+def _separating_pairs(masks: Sequence[int], v: int) -> Iterator[tuple[int, int]]:
     """Non-adjacent pairs (s, t), one at a time, whose least local connectivity
     is kappa on a non-complete graph with neighbour masks ``masks`` and v of
     minimum degree (Esfahanian & Hakimi, 1984): v and each non-neighbour,
@@ -589,7 +588,7 @@ def _separating_pairs(masks: list[int], v: int) -> Iterator[tuple[int, int]]:
 
 
 def _short_paths(
-    masks: list[int], s: int, t: int, need: int, pred: dict[int, int] | None = None
+    masks: Sequence[int], s: int, t: int, need: int, pred: dict[int, int] | None = None
 ) -> int:
     """Internally disjoint s-t paths of length 2 and 3, counted until the
     count reaches ``need``; ``masks[v]`` has bit u set iff u ~ v.
@@ -636,7 +635,7 @@ def _short_paths(
     return paths
 
 
-def _augment(masks: list[int], s: int, t: int, pred: dict[int, int]) -> bool:
+def _augment(masks: Sequence[int], s: int, t: int, pred: dict[int, int]) -> bool:
     """Add one internally disjoint s-t path to those in ``pred`` (each inner
     vertex mapped to the vertex before it on its path), if the flow they
     carry has an augmenting path; True iff one was found.
@@ -695,7 +694,7 @@ def _augment(masks: list[int], s: int, t: int, pred: dict[int, int]) -> bool:
     return True
 
 
-def _local_connectivity(masks: list[int], s: int, t: int, need: int) -> int:
+def _local_connectivity(masks: Sequence[int], s: int, t: int, need: int) -> int:
     """min(need, kappa(s, t)) for non-adjacent s and t: by Menger's theorem
     the most internally disjoint s-t paths, capped at ``need``.
 
@@ -713,7 +712,7 @@ def _local_connectivity(masks: list[int], s: int, t: int, need: int) -> int:
     return min(paths, need)
 
 
-def _least_pair_connectivity(masks: list[int], v: int, cap: int, stop: int) -> int:
+def _least_pair_connectivity(masks: Sequence[int], v: int, cap: int, stop: int) -> int:
     """min(cap, kappa), or the first value at most ``stop`` the search meets, of
     the graph with neighbour masks ``masks``, v of minimum degree and ``cap``
     at most that degree: each pair of :func:`_separating_pairs` is capped at

@@ -130,14 +130,9 @@ class ThresholdSpec:
         return float(value)
 
     def describe(self) -> dict:
-        """JSON-friendly summary for report sidecars."""
-        out = {"family": self.family, "regime": self.regime}
-        if self.c is not None:
-            out["c"] = self.c
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.ell is not None:
-            out["ell"] = self.ell
+        """JSON-friendly summary for report sidecars: the fields that are set,
+        in field order, with the table keyed by ``str(n)``."""
+        out = {k: v for k, v in vars(self).items() if v is not None}
         if self.table is not None:
             out["table"] = {str(k): v for k, v in self.table}
         return out

@@ -595,7 +595,6 @@ def test_certificate_e_runs_no_cut_vertex_search(a, monkeypatch):
         raise AssertionError("the depth-first cut-vertex search ran")
 
     monkeypatch.setattr(mclab.graphs, "has_cut_vertex", refuse)
-    monkeypatch.setattr(mclab.graphs, "articulation_points", refuse)
     monkeypatch.setattr(mclab.coloring, "has_cut_vertex", refuse, raising=False)
     assert exactness_certificate(g) == EXACT_E  # at a = 40, n = 79 is past kappa_cap
     assert exactness_certificate(apex) is None

@@ -13,13 +13,12 @@ from scipy.sparse import csr_matrix
 
 import oracles
 from mclab import graphs
-from mclab.coloring import analyze
+from mclab.coloring import _star_cover_cost, analyze, exact_mc_small, exactness_certificate
 from mclab.errors import CapExceededError, NotConnectedError
 from mclab.graphs import (
     MAX_VERTICES,
     Graph,
     _has_far_pair,
-    articulation_points,
     chromatic_number,
     complement,
     complete_graph,
@@ -182,7 +181,6 @@ def test_queries_match_brute_force_all_graphs_up_to_n5():
             assert partition(g) == comps
             assert is_connected(g) == (len(comps) == 1)
             assert diameter(g) == oracles.brute_diameter(n, edges)
-            assert articulation_points(g) == oracles.brute_cut_vertices(n, edges)
             assert has_cut_vertex(g) == bool(oracles.brute_cut_vertices(n, edges))
             assert is_triangle_free(g) == oracles.brute_triangle_free(n, edges)
             kappa = oracles.brute_vertex_connectivity(n, edges)
@@ -383,7 +381,7 @@ def test_queries_match_brute_force_sampled_n6():
         g = Graph(6, edges)
         assert partition(g) == oracles.brute_components(6, edges)
         assert diameter(g) == oracles.brute_diameter(6, edges)
-        assert articulation_points(g) == oracles.brute_cut_vertices(6, edges)
+        assert has_cut_vertex(g) == bool(oracles.brute_cut_vertices(6, edges))
         assert is_triangle_free(g) == oracles.brute_triangle_free(6, edges)
         assert vertex_connectivity(g) == oracles.brute_vertex_connectivity(6, edges)
 
@@ -458,6 +456,42 @@ def test_memoised_fields_agree_across_threads_on_a_fresh_graph():
                 assert np.array_equal(degrees, base.degrees) and not degrees.flags.writeable
                 assert masks == graphs._neighbour_masks(base)
                 assert connected is True and edges == base.edges
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_mask_store_agrees_across_threads_on_a_fresh_graph(monkeypatch):
+    # threads racing on a block's first read may each cut it; every reader
+    # must still get the right masks, and the store must end up whole
+    monkeypatch.setattr(graphs, "_BLOCK_BYTES", 64)
+    base = sample_gnp(300, 0.1, RngSeed(301))
+    expected = [0] * base.n
+    for u, v in base.edge_set:
+        expected[u] |= 1 << v
+        expected[v] |= 1 << u
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(5):
+            g = Graph(base.n, base.edge_array)
+            gate, seen = threading.Barrier(8), []
+
+            def read(order):
+                gate.wait(timeout=30)
+                masks = g._masks
+                seen.append((order, [masks[v] for v in order], list(masks)))
+
+            orders = [np.random.default_rng([trial, i]).permutation(g.n).tolist() for i in range(8)]
+            threads = [threading.Thread(target=read, args=(order,)) for order in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(seen) == 8
+            for order, shuffled, listed in seen:
+                assert shuffled == [expected[v] for v in order] and listed == expected
+            assert dict(g._masks.items()) == dict(enumerate(expected))
     finally:
         sys.setswitchinterval(interval)
 
@@ -568,12 +602,13 @@ def test_neighbour_masks_are_the_edge_set_bits(block_bytes):
             expected[u] |= 1 << v
             expected[v] |= 1 << u
         # past the bound, one block scattered from the edge array when n x n
-        # bools fit one, the CSR's row blocks otherwise; cached on the graph
+        # bools fit one, otherwise a store that cuts the CSR's row blocks as
+        # they are read; cached on the graph
         one_block = g.n * g.n <= graphs._BLOCK_BYTES
         masks = g._masks
-        assert masks == expected and g._masks is masks, g
+        assert len(masks) == g.n and list(masks) == expected and g._masks is masks, g
         assert ("_adjacency" in g.__dict__) == (g.m > graphs._SMALL_EDGES and not one_block)
-        assert graphs._neighbour_masks(g) == expected, g
+        assert list(graphs._neighbour_masks(g)) == expected, g
 
 
 def test_far_pair_matches_diameter_on_graphs_up_to_n400(block_bytes):
@@ -617,20 +652,32 @@ def test_far_pair_reads_the_masks_where_the_degree_bound_is_silent():
     assert "_masks" in g.__dict__
 
 
+def ladder_graph(n):
+    """Hub 0 joined to 2..n-1, vertex 1 to 2 and 3, and the square of the path
+    on 2..n-1: delta = 2 leaves the far-pair degree bound silent, and rows
+    0-3 of the masks find 1 and 6 apart."""
+    return Graph.from_pairs(n, [(0, v) for v in range(2, n)] + [(1, 2), (1, 3)]
+                            + [(v, v + d) for d in (1, 2) for v in range(2, n - d)])
+
+
 def test_far_pair_hub_shortcut(block_bytes, monkeypatch):
     n = 300
     leaves = [(0, v) for v in range(1, n)]
     missed = Graph(n, leaves[:-1] + [(1, n - 1)])  # hub 0 misses n-1, which is 3 from 2
     assert _has_far_pair(missed)
     assert diameter(missed) == 3
-    # delta = 2 leaves the degree bound silent: the masks, cut block by block
-    # past one block and kept on the graph only within one, find 1 and 6 apart
-    ladder = Graph.from_pairs(n, leaves[1:] + [(1, 2), (1, 3)]
-                              + [(v, v + d) for d in (1, 2) for v in range(2, n - d)])
+    # past one block the ladder's store holds only the blocks its rows 0-3 cut
+    ladder = ladder_graph(n)
     assert 1 + min_degree(ladder) * max_degree(ladder) >= n
     assert _has_far_pair(ladder)
     assert diameter(ladder) == 3
-    assert ("_masks" in ladder.__dict__) == (n * n <= graphs._BLOCK_BYTES)
+    masks = ladder.__dict__["_masks"]
+    if n * n > graphs._BLOCK_BYTES:
+        starts = sorted({v - v % masks.rows for v in range(4)})
+        assert sorted(masks.keys()) == [
+            v for lo in starts for v in range(lo, min(lo + masks.rows, n))]
+    else:
+        assert len(masks) == n and type(masks) is list
 
     def refuse(*args):
         raise AssertionError("a vertex of degree n - 1 needs no masks")
@@ -1034,6 +1081,55 @@ def test_masks_past_one_block_are_built_once(monkeypatch):
         assert builds == [g.n]
 
 
+def test_mask_readers_agree_past_one_block(monkeypatch):
+    # K_12 - e: m = 65, one edge past _SMALL_EDGES
+    cases = [(12, complete_graph(12).edge_array[1:]), (30, ladder_graph(30).edge_array)]
+    cases += [(n, sample_gnp(n, p, RngSeed(n)).edge_array) for n, p in ((16, 0.7), (18, 0.75))]
+    readers = [
+        lambda g: chromatic_number(g, cap=g.n),
+        lambda g: _star_cover_cost(g._masks),
+        lambda g: exactness_certificate(g, kappa_cap=g.n),
+        vertex_connectivity,
+    ]
+    one_block = [[read(Graph(n, arr)) for read in readers] for n, arr in cases]
+    assert exact_mc_small(Graph(*cases[0]), cap=66) == 64
+    monkeypatch.setattr(graphs, "_BLOCK_BYTES", 64)
+    k12_e = Graph(*cases[0])  # the exact search lists its degrees by iterating the masks
+    assert exact_mc_small(k12_e, cap=66) == 64 and isinstance(k12_e._masks, graphs._MaskBlocks)
+    for (n, arr), values in zip(cases, one_block):
+        stored = []
+        for read in readers:
+            g = Graph(n, arr)
+            stored.append(read(g))
+            masks = g.__dict__.get("_masks")
+            assert masks is None or isinstance(masks, graphs._MaskBlocks), n
+        assert stored == values, n
+
+
+def test_mask_store_cuts_each_block_once(monkeypatch):
+    monkeypatch.setattr(graphs, "_BLOCK_BYTES", 64)
+    cuts = []
+    real = graphs._MaskBlocks.__missing__
+
+    def counted(self, v):
+        cuts.append(v - v % self.rows)
+        return real(self, v)
+
+    monkeypatch.setattr(graphs._MaskBlocks, "__missing__", counted)
+    ladder = ladder_graph(300)
+    assert _has_far_pair(ladder)
+    masks = ladder._masks
+    assert 0 < dict.__len__(masks) < ladder.n and sorted(cuts) == [0, 1, 2, 3]
+    assert _has_far_pair(ladder) and len(cuts) == 4  # a second scan cuts no block
+    g = sample_gnp(40, 0.4, RngSeed(41))
+    cuts.clear()
+    kappa = vertex_connectivity(g)
+    assert cuts and len(cuts) == len(set(cuts)), cuts
+    first = list(cuts)
+    assert vertex_connectivity(g) == kappa and cuts == first
+    assert kappa == vertex_connectivity(Graph(g.n, g.edge_array))
+
+
 def connected_non_complete(sizes):
     """Every connected, non-complete graph on n labelled vertices, n in ``sizes``."""
     return [
@@ -1183,7 +1279,24 @@ def test_cut_vertex_named_cases():
     assert has_cut_vertex(path_graph(3))
     assert not has_cut_vertex(cycle_graph(4))
     assert not has_cut_vertex(complete_graph(4))
-    assert articulation_points(star_graph(5)) == (0,)
+    assert has_cut_vertex(star_graph(5))
+
+
+def test_cut_vertex_matches_brute_force_sampled_n7_to_n30():
+    rng = np.random.default_rng(7030)
+    outcomes = set()
+    for i in range(120):
+        n = int(rng.integers(7, 31))
+        # sparse samples are often disconnected, with cut vertices in their
+        # trees; dense ones are 2-connected, or lose it to one pendant vertex
+        p = rng.uniform(0.02, 0.3) if i % 2 else rng.uniform(0.3, 0.9)
+        g = sample_gnp(n, p, RngSeed(7030, i))
+        if i % 4 == 2:
+            g = Graph.from_pairs(n + 1, [*g.edges, (int(rng.integers(n)), n)])
+        expected = bool(oracles.brute_cut_vertices(g.n, list(g.edges)))
+        assert has_cut_vertex(g) == expected, g
+        outcomes.add((is_connected(g), expected))
+    assert outcomes == {(c, e) for c in (True, False) for e in (True, False)}
 
 
 def test_vertex_connectivity_named_cases():
