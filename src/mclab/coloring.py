@@ -19,6 +19,7 @@ genuinely needs connectivity raise instead.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -423,17 +424,22 @@ def _tree_cover_search(edges: Sequence[EdgePair], n: int, best: int, floor: int)
     return best
 
 
-def _star_cover_cost(masks: Sequence[int]) -> int:
-    """n - max(k, 2), where k counts the components of the complement of the
-    graph with neighbour masks ``masks``: the cost of the star cover when
-    k >= 3, of a spanning tree otherwise (see :func:`exact_mc_small`)."""
-    n, k = len(masks), 0
+def _component_cover_cost(masks: Sequence[int]) -> int:
+    """The cost of the component cover of the graph with neighbour masks
+    ``masks``: the sum, over the components C of its complement with at least
+    2 vertices, of |C| - 2 when the graph's edges inside C join it and
+    |C| - 1 otherwise (see :func:`exact_mc_small`)."""
+    n, cost = len(masks), 0
     left = full = (1 << n) - 1
     far = _complement(masks)
     while left:
-        left ^= _reach(far, left & -left, full)
-        k += 1
-    return n - max(k, 2)
+        low = left & -left
+        part = _reach(far, low, full)
+        left ^= part
+        if part != low:
+            inner = [mask & part for mask in masks]
+            cost += part.bit_count() - 1 - (_reach(inner, low, part) == part)
+    return cost
 
 
 def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
@@ -450,30 +456,44 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
 
     A connected graph with more than ``cap`` edges raises.
 
-    The search stops at the upper bound m - n + delta + 1, which is at most
-    C(n, 2) since a vertex of degree delta misses n - 1 - delta others; when
-    the spanning-tree coloring's m - n + 2 colors (cost n - 2) already meet it
-    (delta = 1, say) no search runs at all. Nor does it when n > 3 and
-    certificate (c), the max-degree inequality of
-    :func:`exactness_certificate`, already proves mc(G) = m - n + 2. Delta and
-    delta are the bit counts of the neighbour masks that the connectivity walk
-    has already built and cached.
+    The upper bound m - n + delta + 1 is at most C(n, 2), since a vertex of
+    degree delta misses n - 1 - delta others; when the spanning-tree
+    coloring's m - n + 2 colors (cost n - 2) already meet it (delta = 1, say)
+    no search runs at all. Nor does it when n > 3 and certificate (c), the
+    max-degree inequality of :func:`exactness_certificate`, already proves
+    mc(G) = m - n + 2. Delta and delta are the bit counts of the neighbour
+    masks that the connectivity walk has already built and cached.
 
-    Otherwise the search starts from the cheaper of the spanning tree and the
-    star cover (:func:`_star_cover_cost`), and does not run when that already
-    meets the upper bound. Every non-edge joins two vertices of one component
-    of the complement, so when it has k >= 2 components, every vertex outside
-    a component C is adjacent to all of C. The star cover takes, for each C
-    with at least 2 vertices, the star from the lowest vertex c outside C to
-    the vertices of C: a tree with |C| edges, cost |C| - 1, that holds every
-    non-edge inside C; in all, sum(|C| - 1) = n - k, below the spanning tree's
-    n - 2 when k >= 3. Two stars share an edge only when each centre lies in
-    the other's component, and the shared edge is the one between the
+    Otherwise the search starts from the component cover
+    (:func:`_component_cover_cost`), an upper bound on tau, and stops at the
+    larger of two lower bounds on tau: m minus the upper bound on mc, and the
+    counting floor t*. When the cover already meets that floor no search runs.
+
+    The component cover. Every non-edge joins two vertices of one component
+    of the complement, so every vertex outside a component C is adjacent to
+    all of C. Each C with at least 2 vertices takes one tree that holds all
+    of C: a spanning tree of G[C], cost |C| - 2, when G[C] is connected (then
+    |C| >= 3, since a C of 2 vertices is one non-edge), and otherwise the star
+    from the lowest vertex c outside C to the vertices of C, |C| edges at
+    cost |C| - 1; in all, sum(|C| - 1 - [G[C] connected]). When the
+    complement is connected, C is every vertex and G[C] = G is connected, so
+    this is the spanning tree's n - 2; it is never above n - k for k >= 2
+    components. The spanning trees use edges inside their own components and
+    the stars edges between two components, so a spanning tree shares no
+    edge with any other tree. Two stars share an edge only when each centre
+    lies in the other's component, and the shared edge is the one between the
     centres; since a centre lies in one component, each star shares with at
     most one other. Two such stars, on C and C', join into one tree on C + C'
     with |C| + |C'| - 1 edges and the same total cost (C_4 is such a case:
-    its complement is 2 K_2). So the stars, thus merged, are a tree cover,
-    and n - k bounds tau from above.
+    its complement is 2 K_2). So the trees, thus merged, are a tree cover,
+    and their cost bounds tau from above.
+
+    The counting floor. A tree of cost c has c + 2 vertices and c + 1 edges,
+    so its vertex set holds at most C(c + 2, 2) - (c + 1) = c(c + 1)/2
+    non-edges. Since sum(c_i^2) <= (sum c_i)^2, a cover of cost tau holds at
+    most tau(tau + 1)/2 of them, and it holds all C(n, 2) - m. So tau >= t*,
+    the least t with t(t + 1)/2 >= C(n, 2) - m, which is
+    (isqrt(8 (C(n, 2) - m)) + 1) // 2 in exact integers.
 
     The tests check it against an independent exhaustive partition oracle,
     and against the search started from the spanning tree alone.
@@ -491,10 +511,11 @@ def exact_mc_small(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> int:
         return top
     if n > 3 and _degree_certificate(n, m, max(degree)):
         return seed
-    best = _star_cover_cost(masks)
-    if best <= m - top:
+    best = _component_cover_cost(masks)
+    floor = max(m - top, (math.isqrt(4 * n * (n - 1) - 8 * m) + 1) // 2)
+    if best <= floor:
         return m - best
-    return m - _tree_cover_search(g.edges, n, best, m - top)
+    return m - _tree_cover_search(g.edges, n, best, floor)
 
 
 def analyze(

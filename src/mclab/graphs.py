@@ -466,14 +466,18 @@ def _has_far_pair(g: Graph) -> bool:
     bounds answer first, with no mask: a vertex of degree n - 1 puts every pair
     within distance 2, so it answers no; and a vertex of least degree delta has
     at most 1 + delta * Delta vertices within distance 2, so 1 + delta * Delta
-    < n answers yes. Otherwise each vertex x ORs into its closed neighbourhood
-    N[x] the masks of its neighbours, ascending, and stops as soon as the union
-    holds every vertex; a row that runs out of neighbours first answers yes.
-    It reads ``g._masks``; past one block that store cuts a block of rows only
-    when a row first reads one of its masks, so a graph with a far pair near
-    the start builds few of them. With no far pair every block gets built:
-    n^2/8 bytes of masks, as kappa's take, kept on the graph for the next
-    reader.
+    < n answers yes.
+
+    Otherwise only the rows outside N[h] are scanned, for h a vertex of
+    largest degree: any two vertices of N[h] lie within distance 2 through h,
+    so every far pair has an end outside N[h]. Each such vertex x ORs into its
+    closed neighbourhood N[x] the masks of its neighbours, ascending, and
+    stops as soon as the union holds every vertex; a row that runs out of
+    neighbours first answers yes. It reads ``g._masks``; past one block that
+    store cuts a block of rows only when a row first reads one of its masks,
+    so a graph with a far pair near the start builds few of them. With no far
+    pair nearly every block gets built: up to n^2/8 bytes of masks, as kappa's
+    take, kept on the graph for the next reader.
 
     :func:`~mclab.coloring.exactness_certificate` reaches this test only when
     2m >= (n - Delta)(n - 3) + 3(n - 1). That needs Delta > n/2, so there the
@@ -486,7 +490,12 @@ def _has_far_pair(g: Graph) -> bool:
     if 1 + min_degree(g) * top < n:
         return True
     masks, full = g._masks, (1 << n) - 1
-    for x in range(n):
+    h = int(g.degrees.argmax())
+    outside = full ^ masks[h] ^ 1 << h
+    while outside:
+        low = outside & -outside
+        outside ^= low
+        x = low.bit_length() - 1
         rest = masks[x]
         reach = rest | (1 << x)
         while reach != full:

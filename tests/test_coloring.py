@@ -761,25 +761,33 @@ def test_exact_mc_runs_no_search_when_certificate_c_holds(monkeypatch):
     assert checked == 130
 
 
-def star_cover_coloring(g):
-    """The star cover of exact_mc_small as a coloring, with its cost: each
-    component C of the complement with at least 2 vertices takes the star
-    from the lowest vertex adjacent to all of C, two stars that share an edge
-    take one color, and every other edge takes a color of its own; None when
-    some such C has no vertex adjacent to all of it."""
+def component_cover_coloring(g):
+    """The component cover of exact_mc_small as a coloring, with its cost.
+
+    Each component C of the complement with at least 2 vertices takes one
+    tree: a spanning tree of G[C] when G[C] is connected, and otherwise the
+    star from the lowest vertex outside C, which is adjacent to all of C. Two
+    stars that share an edge take one color, and every other edge takes a
+    color of its own."""
     n, adj = g.n, oracles.adjacency(g.n, g.edges)
-    owner, stars = {}, 0
+    owner, trees = {}, 0
     for comp in oracles.brute_components(n, oracles.brute_complement(n, list(g.edges))):
         if len(comp) < 2:
             continue
-        centres = [c for c in range(n) if adj[c] >= set(comp)]
-        if not centres:
-            return None
-        star = [(min(centres[0], v), max(centres[0], v)) for v in comp]
-        shared = {owner[e] for e in star if e in owner}
-        assert len(shared) <= 1  # a star shares an edge with at most one other
-        owner.update(dict.fromkeys(star, shared.pop() if shared else stars))
-        stars += 1
+        inner = [(comp.index(u), comp.index(v)) for u, v in g.edges if u in comp and v in comp]
+        spanning = oracles.bfs_spanning_tree(len(comp), inner)
+        if spanning is not None:
+            tree = [(comp[a], comp[b]) for a, b in spanning]
+            assert owner.keys().isdisjoint(tree)  # edges inside C: no other tree's
+            owner.update(dict.fromkeys(tree, trees))
+        else:
+            centre = min(set(range(n)) - set(comp))
+            assert adj[centre] >= set(comp)
+            star = [(min(centre, v), max(centre, v)) for v in comp]
+            shared = {owner[e] for e in star if e in owner}
+            assert len(shared) <= 1  # a star shares an edge with at most one other
+            owner.update(dict.fromkeys(star, shared.pop() if shared else trees))
+        trees += 1
     for label in set(owner.values()):  # each class, merged or not, is a tree
         class_edges = [e for e, owned in owner.items() if owned == label]
         assert len({v for e in class_edges for v in e}) == len(class_edges) + 1
@@ -788,12 +796,13 @@ def star_cover_coloring(g):
 
 
 def test_star_cover_coloring_reaches_mc_on_k_n_minus_a_perfect_matching():
-    # K_n minus a perfect matching: its complement is n/2 K_2 and chi = n/2,
-    # so the chromatic upper bound m - n/2 meets the star cover's m - n/2 colors
+    # K_n minus a perfect matching: its complement is n/2 K_2, so the
+    # component cover is n/2 stars, and chi = n/2, so the chromatic upper
+    # bound m - n/2 meets the cover's m - n/2 colors
     for n in (4, 6, 8):
         g = Graph(n, [e for e in complete_graph(n).edges if e[0] % 2 or e[1] != e[0] + 1])
-        coloring, cost = star_cover_coloring(g)
-        assert cost == n // 2 == mclab.coloring._star_cover_cost(g._masks)
+        coloring, cost = component_cover_coloring(g)
+        assert cost == n // 2 == mclab.coloring._component_cover_cost(g._masks)
         assert verify_mc_coloring(g, coloring)
         assert coloring.num_colors == g.m - n // 2 == mc_upper_bound(g)[0]
         if n < 8:
@@ -802,28 +811,38 @@ def test_star_cover_coloring_reaches_mc_on_k_n_minus_a_perfect_matching():
     # component: the stars 1-0, 1-2 and 0-1, 0-3 share the edge 0-1, and join
     # into the path 3-0-1-2, which leaves the edge 2-3 a color of its own
     c4 = cycle_graph(4)
-    coloring, cost = star_cover_coloring(c4)
+    coloring, cost = component_cover_coloring(c4)
     assert cost == 2 and coloring.labels == (0, 0, 0, 1) and verify_mc_coloring(c4, coloring)
     assert exact_mc_small(c4) == 2 == oracles.oracle_mc(4, list(c4.edges))
 
 
-def test_star_cover_cost_matches_its_coloring_up_to_n5():
-    cheaper = 0
-    for n in range(2, 6):
+def test_component_cover_cost_matches_its_coloring_up_to_n6():
+    kinds = set()
+    for n in range(2, 7):
         for edges in connected_edge_subsets(n):
             g = Graph(n, edges)
-            cost = mclab.coloring._star_cover_cost(g._masks)
+            cost = mclab.coloring._component_cover_cost(g._masks)
+            coloring, witness_cost = component_cover_coloring(g)
+            assert witness_cost == cost and coloring.num_colors == g.m - cost, edges
+            assert verify_mc_coloring(g, coloring), edges
+            # never above the spanning tree's n - 2 nor the star cover's n - k
             parts = len(oracles.brute_components(n, oracles.brute_complement(n, edges)))
-            star = star_cover_coloring(g)
-            # one component of the complement has no vertex outside it
-            assert (star is None) == (parts == 1)
-            assert cost == n - max(parts, 2)
-            if star is not None:
-                coloring, star_cost = star
-                assert star_cost == n - parts and verify_mc_coloring(g, coloring)
-                assert exact_mc_small(g) >= coloring.num_colors
-                cheaper += star_cost < n - 2
-    assert cheaper > 0
+            assert cost <= n - max(parts, 2)
+            # up to n = 6 the cover is optimal: the 405 searches at n = 6
+            # only prove it
+            assert exact_mc_small(g, cap=15) == coloring.num_colors
+            kinds.add((parts > 1, cost < n - max(parts, 2)))
+    # covers with stars only, with spanning trees of some G[C] below n - k,
+    # and the spanning tree of G itself when the complement is connected
+    assert kinds == {(True, False), (True, True), (False, False)}
+    # at n = 7 the cover can miss: here it costs 5, and tau is 4
+    g = Graph(7, [(0, 1), (0, 3), (0, 4), (0, 6), (1, 3), (1, 5), (1, 6), (2, 3),
+                  (2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (4, 6)])
+    coloring, cost = component_cover_coloring(g)
+    assert cost == mclab.coloring._component_cover_cost(g._masks) == 5
+    assert verify_mc_coloring(g, coloring)
+    assert mclab.coloring._tree_cover_search(g.edges, 7, 5, 0) == 4
+    assert exact_mc_small(g, cap=15) == g.m - 4
 
 
 def test_exact_mc_matches_the_unseeded_search_on_every_connected_graph_up_to_n6():
@@ -841,7 +860,7 @@ def test_exact_mc_matches_the_unseeded_search_on_every_connected_graph_up_to_n6(
     assert checked == 27476
 
 
-def test_exact_mc_runs_no_search_when_the_star_cover_meets_the_upper_bound(monkeypatch):
+def test_exact_mc_runs_no_search_when_the_component_cover_meets_the_floor(monkeypatch):
     searched = []
     search = mclab.coloring._tree_cover_search
 
@@ -850,7 +869,7 @@ def test_exact_mc_runs_no_search_when_the_star_cover_meets_the_upper_bound(monke
         return search(edges, n, best, floor)
 
     monkeypatch.setattr(mclab.coloring, "_tree_cover_search", counted)
-    skipped = 0
+    skipped = by_upper = 0
     for n in range(3, 6):
         for edges in connected_edge_subsets(n):
             m, degs = len(edges), [sum(x in e for e in edges) for x in range(n)]
@@ -858,15 +877,50 @@ def test_exact_mc_runs_no_search_when_the_star_cover_meets_the_upper_bound(monke
             if min(degs) < 2 or certified:
                 continue
             g, before = Graph(n, edges), len(searched)
-            assert exact_mc_small(g) == oracles.oracle_mc(n, edges)
+            mc = oracles.oracle_mc(n, edges)
+            assert exact_mc_small(g) == mc
             if len(searched) == before:
                 top = m - n + min(degs) + 1
-                assert star_cover_coloring(g)[0].num_colors == top
+                coloring, cost = component_cover_coloring(g)
+                assert coloring.num_colors == mc
+                by_upper += cost <= m - top
                 skipped += 1
-    # of the 134 graphs with n <= 5 that the cheap exits leave, the star
-    # cover settles 59, and 15 of the 75 searches start below n - 2
-    assert (skipped, len(searched)) == (59, 75)
-    assert sum(best < n - 2 for n, best in searched) == 15
+    # the cheap exits leave 134 graphs with n <= 5; the component cover meets
+    # m - (the upper bound) on 119 (the old star cover did on 59 of them), and
+    # the counting floor on the other 15
+    assert (skipped, by_upper, len(searched)) == (134, 119, 0)
+    # over all 32,768 labelled graphs on 6 vertices, 405 searches run
+    for edges in oracles.all_edge_subsets(6):
+        exact_mc_small(Graph(6, edges), cap=15)
+    assert len(searched) == 405
+
+
+def test_counting_floor_holds_on_every_connected_graph_up_to_n6():
+    # a cover of cost tau holds at most tau(tau + 1)/2 non-edges
+    tight = 0
+    for n in range(1, 7):
+        for edges in connected_edge_subsets(n):
+            tau = len(edges) - exact_mc_small(Graph(n, edges), cap=15)
+            holes = n * (n - 1) // 2 - len(edges)
+            assert holes <= tau * (tau + 1) // 2, edges
+            tight += holes > (tau - 1) * tau // 2  # the floor meets tau
+    assert tight > 0
+
+
+def test_counting_floor_alone_settles_k_n_minus_two_disjoint_edges(monkeypatch):
+    # delta = n - 2 puts m minus the degree bound at 1, and the cover is two
+    # stars of cost 1 each; the two non-edges need tau(tau + 1)/2 >= 2, so tau = 2
+    def refuse(*args):
+        raise AssertionError("the tree-cover search ran")
+
+    monkeypatch.setattr(mclab.coloring, "_tree_cover_search", refuse)
+    for n in range(5, 10):
+        g = Graph(n, [e for e in complete_graph(n).edges if e not in ((0, 1), (2, 3))])
+        top = g.m - n + min_degree(g) + 1
+        assert g.m - top == 1 and mclab.coloring._component_cover_cost(g._masks) == 2
+        assert exact_mc_small(g, cap=g.m) == g.m - 2
+        if n == 5:
+            assert oracles.oracle_mc(n, list(g.edges)) == g.m - 2
 
 
 def test_sandwich_and_completeness_small():

@@ -13,7 +13,7 @@ from scipy.sparse import csr_matrix
 
 import oracles
 from mclab import graphs
-from mclab.coloring import _star_cover_cost, analyze, exact_mc_small, exactness_certificate
+from mclab.coloring import _component_cover_cost, analyze, exact_mc_small, exactness_certificate
 from mclab.errors import CapExceededError, NotConnectedError
 from mclab.graphs import (
     MAX_VERTICES,
@@ -652,6 +652,28 @@ def test_far_pair_reads_the_masks_where_the_degree_bound_is_silent():
     assert "_masks" in g.__dict__
 
 
+def test_far_pair_scans_the_rows_outside_the_closed_neighbourhood_of_a_top_vertex():
+    # two K_5 joined by the edge 4-5: vertices 4 and 5 tie at degree 5, so h = 4;
+    # the far pair 0, 6 has 0 in N(h) and 6 outside N[h]: the row of 6 reaches
+    # every row outside N[h], and misses only vertices inside it
+    k5 = complete_graph(5).edges
+    bridged = Graph.from_pairs(10, [*k5, *((u + 5, v + 5) for u, v in k5), (4, 5)])
+    # hub 1 misses only 2 and 5, which lie 3 apart with both ends outside
+    # N[1]; vertex 4 ties with it at degree 5, and every row inside N[1] has
+    # both 2 and 5 within distance 2
+    around = Graph.from_pairs(8, [(0, 1), (1, 3), (1, 4), (1, 6), (1, 7), (0, 2), (2, 4),
+                                  (3, 5), (5, 6), (0, 3), (4, 6), (4, 7), (3, 4), (6, 7)])
+    for g, h, far in ((bridged, 4, (0, 6)), (around, 1, (2, 5))):
+        top = np.flatnonzero(g.degrees == max_degree(g))
+        assert len(top) == 2 and top[0] == h != 0
+        assert far[1] not in oracles.adjacency(g.n, g.edges)[h] | {h}
+        assert 1 + min_degree(g) * max_degree(g) >= g.n  # the degree bound is silent
+        assert _has_far_pair(g) is (oracles.brute_diameter(g.n, list(g.edges)) >= 3) is True
+    # 2 and 5 were the only far pair
+    closed = around.with_edge(2, 5)
+    assert oracles.brute_diameter(8, list(closed.edges)) == 2 and not _has_far_pair(closed)
+
+
 def ladder_graph(n):
     """Hub 0 joined to 2..n-1, vertex 1 to 2 and 3, and the square of the path
     on 2..n-1: delta = 2 leaves the far-pair degree bound silent, and rows
@@ -1087,7 +1109,7 @@ def test_mask_readers_agree_past_one_block(monkeypatch):
     cases += [(n, sample_gnp(n, p, RngSeed(n)).edge_array) for n, p in ((16, 0.7), (18, 0.75))]
     readers = [
         lambda g: chromatic_number(g, cap=g.n),
-        lambda g: _star_cover_cost(g._masks),
+        lambda g: _component_cover_cost(g._masks),
         lambda g: exactness_certificate(g, kappa_cap=g.n),
         vertex_connectivity,
     ]
